@@ -183,27 +183,36 @@ def main(argv=None):
     gate("profile-coverage",
          profile["coverage"] >= args.min_coverage,
          f"attribution covers {profile['coverage']:.1%} of sweep wall "
-         f"< {args.min_coverage:.0%}")
+         f"(need ≥ {args.min_coverage:.0%})")
     gate("profile-critical-path",
          len(profile["top_stages"]) == 3
          and all(profile["top_stages"]),
-         f"critical path names {len(profile['top_stages'])} stages, "
-         f"need top-3")
+         f"critical path names {len(profile['top_stages'])} stages "
+         f"(need 3)")
     gate("profile-overhead",
          profile["overhead_frac"] <= args.max_overhead,
          f"profiler analysis {profile['overhead_frac']:.2%} of sweep "
-         f"wall > {args.max_overhead:.0%} (wall-clock: see "
+         f"wall (need ≤ {args.max_overhead:.0%}; wall-clock: see "
          f"machine.available_cpus)")
-    gate("diff-self-pass", record["diff"]["self_ok"],
-         "self-diff of the fresh record must report no regressions")
-    gate("diff-flags-regression", record["diff"]["regression_flagged"],
-         "synthetic 2x sweep_s regression must be flagged")
+    diff, slo = record["diff"], record["slo"]
+    gate("diff-self-pass", diff["self_ok"],
+         f"self-diff of the fresh record "
+         f"{'is clean' if diff['self_ok'] else 'reports regressions'} "
+         f"(need clean)")
+    gate("diff-flags-regression", diff["regression_flagged"],
+         f"synthetic 2x regression flags "
+         f"{', '.join(diff['flagged_metrics']) or 'nothing'} "
+         f"(need a flag)")
     gate("slo-alerts-fired",
-         record["slo"]["status_has_alerts"]
-         and record["slo"]["alert_count"] > 0,
-         "storm scenario must surface SLO alerts in status.json")
-    gate("slo-deterministic", record["slo"]["deterministic"],
-         "same-seed storm runs must produce identical alert streams")
+         slo["status_has_alerts"] and slo["alert_count"] > 0,
+         f"storm scenario: {slo['alert_count']} alert transitions, "
+         f"status.json alerts "
+         f"{'present' if slo['status_has_alerts'] else 'absent'} "
+         f"(need ≥ 1, present)")
+    gate("slo-deterministic", slo["deterministic"],
+         f"same-seed storm alert streams "
+         f"{'identical' if slo['deterministic'] else 'differ'} "
+         f"(need identical)")
 
     with open(args.out, "w") as fh:
         json.dump(record, fh, indent=2, sort_keys=True)

@@ -137,21 +137,18 @@ def band_phase_alignment(h_sd, h_sr, h_rd, f0, amplification_db):
     ``(n_sc, ., .)``.  For each subcarrier the best ``phi`` maximising
     ``|det(H_sd + e^{j phi} H_rd F0 A H_sr)|`` is found on a fine grid —
     det is a polynomial in ``e^{j phi}`` so a 64-point grid search is
-    accurate and cheap.  Returns the phase array ``phi``.
+    accurate and cheap.  Returns the phase array ``phi``.  All
+    ``n_sc x 64`` determinants are one stacked ``det``.
     """
     h_sd = np.asarray(h_sd, dtype=complex)
     h_sr = np.asarray(h_sr, dtype=complex)
     h_rd = np.asarray(h_rd, dtype=complex)
     a = db_to_linear(amplification_db)
-    n_sc = h_sd.shape[0]
     phis = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
-    out = np.empty(n_sc)
-    for s in range(n_sc):
-        relay_term = h_rd[s] @ f0 @ (a * h_sr[s])
-        dets = [abs(np.linalg.det(h_sd[s] + np.exp(1j * p) * relay_term))
-                for p in phis]
-        out[s] = phis[int(np.argmax(dets))]
-    return out
+    relay_term = h_rd @ np.asarray(f0, dtype=complex) @ (a * h_sr)
+    candidates = h_sd[:, None] \
+        + np.exp(1j * phis)[None, :, None, None] * relay_term[:, None]
+    return phis[np.argmax(np.abs(np.linalg.det(candidates)), axis=1)]
 
 
 def mimo_effective_channel(h_sd, h_sr, h_rd, f, amplification_db):

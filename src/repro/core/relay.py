@@ -181,30 +181,33 @@ class FastForwardRelay:
             # for deeply faded tones.
             h_eff = self._h_sd + self._h_rd * resp * a * self._h_sr
             snr = np.abs(h_eff) ** 2 * p_tx / sigma_d2
-            return float(np.sum(np.log2(1.0 + snr)))
+            return np.sum(np.log2(1.0 + snr), axis=-1)
 
-        best = None
-        best_metric = -np.inf
-        best_resp = None
-        for tau in np.linspace(-25e-9, 75e-9, 11):
-            weights = base_weights
-            for _ in range(2):
-                cand = decompose_cnf_filter(
-                    freqs, ideal, carrier_hz=cfg.params.carrier_hz,
-                    delay_slack_s=tau, weights=weights)
-                resp = cand.response(freqs)
-                # The filter's gain is bounded by unity (extra gain
-                # belongs to the capped amplification); scale so the
-                # strongest subcarrier uses the full budget.
-                peak = np.abs(resp).max()
-                if peak > 0:
-                    resp = resp / peak
-                metric = capacity_metric(resp)
-                if metric > best_metric:
-                    best, best_metric, best_resp = cand, metric, resp
-                # Constant-modulus reweighting: pull up the dips.
-                weights = base_weights / np.maximum(np.abs(resp), 0.25) ** 2
-        return best, best_resp
+        # Every slide is one row of a batch; the second pass reweights
+        # each row from its own first-pass response.
+        taus = np.linspace(-25e-9, 75e-9, 11)
+        targets = np.broadcast_to(ideal, (taus.size, ideal.size))
+        weights = base_weights
+        cands, resps = [], []
+        for _ in range(2):
+            batch = decompose_cnf_filter(
+                freqs, targets, carrier_hz=cfg.params.carrier_hz,
+                delay_slack_s=taus, weights=weights)
+            resp = np.array([cand.response(freqs) for cand in batch])
+            # The filter's gain is bounded by unity (extra gain belongs
+            # to the capped amplification); scale so the strongest
+            # subcarrier uses the full budget.
+            peak = np.abs(resp).max(axis=1, keepdims=True)
+            resp = resp / np.where(peak > 0, peak, 1.0)
+            cands.append(batch)
+            resps.append(resp)
+            # Constant-modulus reweighting: pull up the dips.
+            weights = base_weights / np.maximum(np.abs(resp), 0.25) ** 2
+        # Candidates in (slide, pass) order: argmax keeps the first of
+        # equal metrics, as a strict-improvement scan would.
+        metrics = np.stack([capacity_metric(r) for r in resps], axis=1)
+        tau_i, pass_i = np.unravel_index(np.argmax(metrics), metrics.shape)
+        return cands[pass_i][tau_i], resps[pass_i][tau_i]
 
     def configure_mimo_link(self, h_sd, h_sr, h_rd, group_size=8):
         """Install per-subcarrier MIMO channels, shapes (n_sc, ., .).

@@ -236,11 +236,19 @@ class RelayService:
             self._stop.set()
 
     async def run(self):
-        """Serve until traffic completes or :meth:`request_stop`."""
+        """Serve until traffic completes or :meth:`request_stop`.
+
+        Tick ``n`` is due ``n * tick_s`` after the start on the loop's
+        monotonic clock, so the cost of each step is absorbed rather
+        than added to the period; a late step is followed at once by
+        the next one until the service is back on schedule.
+        """
         self._stop = asyncio.Event()
+        loop = asyncio.get_running_loop()
         tick = self.pump.config.tick_s
         horizon = self.pump.horizon_s
         grace = horizon + self.pump.config.drain_ticks * tick
+        deadline = loop.time()
         try:
             while not self._stop.is_set():
                 self.pump.step()
@@ -248,8 +256,11 @@ class RelayService:
                     break
                 if self.pump.now_s > grace:
                     break
+                deadline += tick
                 try:
-                    await asyncio.wait_for(self._stop.wait(), timeout=tick)
+                    await asyncio.wait_for(
+                        self._stop.wait(),
+                        timeout=max(0.0, deadline - loop.time()))
                 except asyncio.TimeoutError:
                     pass
         finally:

@@ -12,6 +12,7 @@ from repro.core import (
 )
 from repro.core.cnf_filter import _unitary_from_params, band_phase_alignment
 from repro.utils import make_rng
+from repro.utils.units import db_to_linear
 
 
 def _random_channels(rng, n=16):
@@ -175,3 +176,28 @@ class TestStreamSinrs:
         phases = band_phase_alignment(h_sd, h_sr, h_rd, f0, 30.0)
         assert phases.shape == (n_sc,)
         assert np.all((phases >= 0) & (phases < 2 * np.pi))
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_band_phase_alignment_matches_scalar_search(self, k):
+        # The per-subcarrier, per-phase loop the stacked det replaced.
+        def scalar_search(h_sd, h_sr, h_rd, f0, amplification_db):
+            a = db_to_linear(amplification_db)
+            phis = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
+            out = np.empty(h_sd.shape[0])
+            for s in range(h_sd.shape[0]):
+                relay_term = h_rd[s] @ f0 @ (a * h_sr[s])
+                dets = [abs(np.linalg.det(h_sd[s] + np.exp(1j * p)
+                                          * relay_term)) for p in phis]
+                out[s] = phis[int(np.argmax(dets))]
+            return out
+
+        rng = make_rng(12 + k)
+        n_sc = 48
+        h = lambda: 1e-3 * (rng.standard_normal((n_sc, k, k))
+                            + 1j * rng.standard_normal((n_sc, k, k)))
+        h_sd, h_sr, h_rd = h(), h(), h()
+        f0 = mimo_cnf_filter(h_sd.mean(axis=0), h_sr.mean(axis=0),
+                             h_rd.mean(axis=0), 30.0, refine=False)
+        np.testing.assert_array_equal(
+            band_phase_alignment(h_sd, h_sr, h_rd, f0, 30.0),
+            scalar_search(h_sd, h_sr, h_rd, f0, 30.0))
