@@ -12,16 +12,21 @@ path: ``F = exp(j(angle(h_sd) - angle(h_rd * h_sr)))``.
 MIMO (Eq. 2): maximise ``det(H_sd + H_rd F A H_sr)`` over a unitary
 K x K filter ``F``, a non-convex problem the paper solves numerically.
 Here: an SVD-aligned initialisation (match H_rd's strong input
-directions to H_sr's strong output directions) refined by gradient-free
-optimisation over the unitary group, plus a cheap per-subcarrier scalar
-phase alignment so one matrix optimisation serves the whole band.
+directions to H_sr's strong output directions), turned by a few fixed
+phase/permutation rotations into several starts, each refined by a
+damped Riemannian Newton ascent of ``log|det|`` on the unitary group.
+All subcarrier groups and all starts are one stacked array program.  A
+cheap per-subcarrier scalar phase alignment then lets one matrix per
+group serve every tone in it.
 """
 
 from __future__ import annotations
 
-import numpy as np
-from scipy.optimize import minimize
+import functools
 
+import numpy as np
+
+from repro.phy.mimo import multiplexing_stream_sinrs
 from repro.utils.units import db_to_linear, db_to_power
 
 
@@ -73,68 +78,174 @@ def siso_destination_snr(h_sd, h_sr, h_rd, filter_response, amplification_db,
         return 10.0 * np.log10(np.maximum(snr_lin, 1e-30))
 
 
-def _unitary_from_params(theta, k):
-    """Map k*k real parameters to a unitary matrix via exp(j * Hermitian)."""
-    theta = np.asarray(theta, dtype=float)
-    herm = np.zeros((k, k), dtype=complex)
-    idx = 0
-    for i in range(k):
-        herm[i, i] = theta[idx]
-        idx += 1
-    for i in range(k):
-        for j in range(i + 1, k):
-            herm[i, j] = theta[idx] + 1j * theta[idx + 1]
-            herm[j, i] = np.conj(herm[i, j])
-            idx += 2
-    vals, vecs = np.linalg.eigh(herm)
-    return (vecs * np.exp(1j * vals)) @ vecs.conj().T
+#: Newton steps every start takes (Eq. 2 solver).
+NEWTON_ITERATIONS = 10
+#: Initial Levenberg damping, relative to the Hessian's spectral radius.
+_INITIAL_DAMPING = 1e-2
 
 
 def _svd_aligned_init(h_sr, h_rd):
     """F0 = V_rd @ U_sr^H: route H_sr's strong output directions into
     H_rd's strong input directions, maximising the relay path's singular
-    values before any phase tuning."""
+    values before any phase tuning.  Works on stacks ``(..., ., .)``."""
     u_sr, _, _ = np.linalg.svd(h_sr)
     _, _, vh_rd = np.linalg.svd(h_rd)
-    return vh_rd.conj().T @ u_sr.conj().T
+    return vh_rd.conj().swapaxes(-1, -2) @ u_sr.conj().swapaxes(-1, -2)
+
+
+@functools.lru_cache(maxsize=None)
+def _unitary_group_tables(k):
+    """Fixed tables of the K x K solver, shapes in parentheses.
+
+    * ``rotations`` (8, K, K): the starts are ``F0 @ R`` for the
+      identity and the reversal permutation, each times the relative
+      phase ramps ``diag(i^(q n))``, ``q = 0..3``.  The first is F0.
+    * ``basis`` (P, K*K), P = K^2: the skew-Hermitian generators of
+      the tangent space ``F @ Omega``, flattened.
+    * ``linear`` (K*K, P + P*P) and ``quadratic`` (K^4, P*P): with
+      ``y = vec(Y)``, ``Re(y @ linear)`` holds the gradient
+      ``Re tr(Y E_p)`` and the symmetrised ``Re tr(Y E_p E_q)``, and
+      ``Re((y kron y) @ quadratic)`` holds ``Re tr(Y E_p Y E_q)``.
+    """
+    basis = []
+    for i in range(k):
+        e = np.zeros((k, k), dtype=complex)
+        e[i, i] = 1j
+        basis.append(e)
+    for i in range(k):
+        for j in range(i + 1, k):
+            e = np.zeros((k, k), dtype=complex)
+            e[i, j], e[j, i] = 1.0, -1.0
+            basis.append(e)
+            e = np.zeros((k, k), dtype=complex)
+            e[i, j] = e[j, i] = 1j
+            basis.append(e)
+    basis = np.array(basis)
+    p = len(basis)
+    gradient = basis.transpose(0, 2, 1).reshape(p, k * k).T
+    pairs = basis[:, None] @ basis[None, :]
+    pairs = 0.5 * (pairs + pairs.transpose(1, 0, 2, 3))
+    curvature = pairs.transpose(0, 1, 3, 2).reshape(p * p, k * k).T
+    quadratic = np.einsum("pjk,qli->ijklpq", basis, basis).reshape(
+        k ** 4, p * p)
+    phases = np.exp(0.5j * np.pi * np.outer(np.arange(4), np.arange(k)))
+    rotations = np.array([perm * ramp for perm in (np.eye(k), np.eye(k)[::-1])
+                          for ramp in phases])
+    tables = (rotations, basis.reshape(p, k * k),
+              np.concatenate([gradient, curvature], axis=1), quadratic)
+    for table in tables:            # cached and shared: read-only
+        table.flags.writeable = False
+    return tables
+
+
+def _newton_ascent(f, h_sd, h_sr, h_rd):
+    """Damped Riemannian Newton ascent of log|det M| from every lane.
+
+    ``f`` (L, K, K) holds the unitary starts, one per lane, with the
+    lane's channels ``h_sd`` (L, N, N), ``h_sr`` (L, K, N) (amplitude
+    already folded in) and ``h_rd`` (L, N, K).  With
+    ``M = H_sd + H_rd F H_sr`` and ``F -> F exp(Omega)``, the gradient
+    and Hessian of ``log|det M|`` in the skew-Hermitian basis come from
+    ``Y = H_sr M^-1 H_rd F`` alone:
+
+        g_p  = Re tr(Y E_p)
+        H_pq = Re[tr(Y (E_p E_q + E_q E_p) / 2) - tr(Y E_p Y E_q)]
+
+    Each step solves ``(sigma I - H) x = g`` with the Levenberg shift
+    ``sigma`` above the Hessian's largest eigenvalue, so it is always an
+    ascent direction, and retracts by the Cayley transform, so F stays
+    unitary.  Every lane accepts or rejects its own step and adapts its
+    own damping.  Lanes whose M is singular have no gradient and stay
+    where they are.  Returns ``(f, log|det M|)`` per lane.
+    """
+    lanes, k = f.shape[0], f.shape[-1]
+    p = k * k
+    _, basis, linear, quadratic = _unitary_group_tables(k)
+    eye_k = np.eye(k)
+    eye_n = np.eye(h_sd.shape[-1])
+    relay_mix = h_rd @ f
+    m = h_sd + relay_mix @ h_sr
+    logdet = np.linalg.slogdet(m)[1]
+    damping = np.full(lanes, _INITIAL_DAMPING)
+    for _ in range(NEWTON_ITERATIONS):
+        live = np.isfinite(logdet)[:, None, None]
+        # Singular lanes solve against I (no raise) and are zeroed.
+        m_inv_mix = np.linalg.solve(np.where(live, m, eye_n), relay_mix)
+        y = np.where(live, h_sr @ m_inv_mix, 0.0)
+        y = y.reshape(lanes, p)
+        terms = (y @ linear).real
+        grad = terms[:, :p]
+        y_kron_y = (y[:, :, None] * y[:, None, :]).reshape(lanes, p * p)
+        hess = (terms[:, p:] - (y_kron_y @ quadratic).real).reshape(
+            lanes, p, p)
+        w, v = np.linalg.eigh(hess)
+        radius = np.maximum(np.abs(w).max(axis=-1), 1e-300)
+        shift = np.maximum(w[:, -1], 0.0) + damping * radius
+        coef = (grad[:, None, :] @ v)[:, 0] / (shift[:, None] - w)
+        omega = ((v @ coef[:, :, None])[..., 0] @ basis).reshape(lanes, k, k)
+        cayley = np.linalg.solve(eye_k - 0.5 * omega, eye_k + 0.5 * omega)
+        f_new = f @ cayley
+        mix_new = h_rd @ f_new
+        m_new = h_sd + mix_new @ h_sr
+        logdet_new = np.linalg.slogdet(m_new)[1]
+        better = logdet_new > logdet
+        keep = better[:, None, None]
+        f = np.where(keep, f_new, f)
+        relay_mix = np.where(keep, mix_new, relay_mix)
+        m = np.where(keep, m_new, m)
+        logdet = np.where(better, logdet_new, logdet)
+        damping = np.where(better, damping / 4.0, damping * 8.0)
+    return f, logdet
 
 
 def mimo_cnf_filter(h_sd, h_sr, h_rd, amplification_db, refine=True):
     """Eq. 2: unitary F maximising |det(H_sd + H_rd F A H_sr)|.
 
     ``h_*`` are single-subcarrier (or band-average) matrices: H_sd is
-    (N, M), H_sr is (K, M), H_rd is (N, K).  Returns the K x K unitary.
-    The SVD-aligned initialisation is already near-optimal for rank
-    expansion; ``refine`` runs Nelder-Mead over the unitary group to
-    pick up the remaining phase alignment.
+    (N, M), H_sr is (K, M), H_rd is (N, K) — or stacks of G such
+    problems, ``(G, ., .)``, solved together.  Returns the K x K
+    unitary, or a ``(G, K, K)`` stack.  The SVD-aligned initialisation
+    is already near-optimal for rank expansion; ``refine`` runs
+    :data:`NEWTON_ITERATIONS` damped Newton steps on the unitary group
+    from it and from seven fixed rotations of it, and keeps the best
+    start.  A problem whose M is singular at every start keeps the
+    SVD-aligned init.
     """
     h_sd = np.asarray(h_sd, dtype=complex)
     h_sr = np.asarray(h_sr, dtype=complex)
     h_rd = np.asarray(h_rd, dtype=complex)
-    k = h_sr.shape[0]
-    if h_rd.shape[1] != k:
+    k = h_sr.shape[-2]
+    if h_rd.shape[-1] != k:
         raise ValueError(
-            f"H_sr has {k} relay antennas but H_rd expects {h_rd.shape[1]}")
-    a = db_to_linear(amplification_db)
+            f"H_sr has {k} relay antennas but H_rd expects {h_rd.shape[-1]}")
     f0 = _svd_aligned_init(h_sr, h_rd)
-
-    def neg_det(theta):
-        f = _unitary_from_params(theta, k) @ f0
-        m = h_sd + h_rd @ f @ (a * h_sr)
-        return -abs(np.linalg.det(m))
-
     if not refine:
         return f0
-    best = minimize(neg_det, np.zeros(k * k), method="Nelder-Mead",
-                    options={"maxiter": 400, "xatol": 1e-4, "fatol": 1e-8})
-    return _unitary_from_params(best.x, k) @ f0
+    single = h_sd.ndim == 2
+    if single:
+        h_sd, h_sr, h_rd, f0 = h_sd[None], h_sr[None], h_rd[None], f0[None]
+    groups = h_sd.shape[0]
+    rotations = _unitary_group_tables(k)[0]
+    starts = len(rotations)
+    a = db_to_linear(amplification_db)
+    f, logdet = _newton_ascent(
+        (f0[:, None] @ rotations).reshape(-1, k, k),
+        np.repeat(h_sd, starts, axis=0), np.repeat(a * h_sr, starts, axis=0),
+        np.repeat(h_rd, starts, axis=0))
+    # A problem singular at every start never moves, and argmax keeps
+    # the first of equal values: start 0, the SVD-aligned init.
+    best = np.argmax(logdet.reshape(groups, starts), axis=1)
+    out = f.reshape(groups, starts, k, k)[np.arange(groups), best]
+    return out[0] if single else out
 
 
 def band_phase_alignment(h_sd, h_sr, h_rd, f0, amplification_db):
-    """Per-subcarrier scalar phase on top of one band-level unitary.
+    """Per-subcarrier scalar phase on top of a band- or group-level unitary.
 
     ``h_*`` here are arrays of per-subcarrier matrices, shape
-    ``(n_sc, ., .)``.  For each subcarrier the best ``phi`` maximising
+    ``(n_sc, ., .)``; ``f0`` is one K x K unitary for the whole band or
+    one per subcarrier, ``(n_sc, K, K)`` (each group's solve repeated
+    over its tones).  For each subcarrier the best ``phi`` maximising
     ``|det(H_sd + e^{j phi} H_rd F0 A H_sr)|`` is found on a fine grid —
     det is a polynomial in ``e^{j phi}`` so a 64-point grid search is
     accurate and cheap.  Returns the phase array ``phi``.  All
@@ -169,21 +280,16 @@ def mimo_stream_sinrs_with_relay(h_sd, h_sr, h_rd, f, amplification_db,
     relay->destination channel.  The effective channel is whitened
     against it before the standard MMSE SINR formula.
     """
-    from repro.phy.mimo import mimo_stream_sinrs
-
     if relay_noise_floor_dbm is None:
         relay_noise_floor_dbm = noise_floor_dbm
     h_sd = np.asarray(h_sd, dtype=complex)
     a2 = db_to_power(amplification_db)  # power gain
     sigma_d2 = 10.0 ** (noise_floor_dbm / 10.0)
     sigma_r2 = 10.0 ** (relay_noise_floor_dbm / 10.0)
-    p_per_stream = 10.0 ** (tx_power_dbm / 10.0) / h_sd.shape[1]
 
     h_eff = mimo_effective_channel(h_sd, h_sr, h_rd, f, amplification_db)
     relay_mix = np.asarray(h_rd, dtype=complex) @ np.asarray(f, dtype=complex)
     noise_cov = sigma_d2 * np.eye(h_sd.shape[0]) \
         + a2 * sigma_r2 * (relay_mix @ relay_mix.conj().T)
-    vals, vecs = np.linalg.eigh(noise_cov)
-    whiten = (vecs / np.sqrt(np.maximum(vals, 1e-30))) @ vecs.conj().T
-    h_white = whiten @ h_eff * np.sqrt(p_per_stream)
-    return mimo_stream_sinrs(h_white, 1.0)
+    return multiplexing_stream_sinrs(h_eff, noise_cov,
+                                     10.0 ** (tx_power_dbm / 10.0))

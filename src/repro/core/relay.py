@@ -43,6 +43,7 @@ from repro.core.cnf_filter import (
 )
 from repro.core.decomposition import decompose_cnf_filter
 from repro.core.latency import ISI_ICI_FACTOR, LatencyBudget, isi_useful_fraction
+from repro.phy.mimo import multiplexing_stream_sinrs
 from repro.phy.params import OfdmParams, WIFI_20MHZ
 from repro.telemetry.collector import current_collector
 from repro.utils.units import db_to_linear, db_to_power, power_to_db
@@ -51,6 +52,19 @@ from repro.utils.validation import ensure_finite
 #: Monotone link tokens keying the spectral-kernel cache (one token per
 #: configured link, so reconfiguring never reuses a stale kernel).
 _LINK_TOKENS = itertools.count()
+
+
+def group_means(h, group_size):
+    """Means of a per-subcarrier stack over groups of adjacent tones.
+
+    ``h`` is ``(n_sc, ., .)``; group ``g`` holds subcarriers
+    ``g * group_size`` up to the next group (the last may be short).
+    Returns the ``(n_groups, ., .)`` group-mean channels the Eq. 2
+    solve runs on.
+    """
+    starts = np.arange(0, h.shape[0], group_size)
+    sizes = np.diff(np.append(starts, h.shape[0]))
+    return np.add.reduceat(h, starts, axis=0) / sizes[:, None, None]
 
 
 @dataclass
@@ -216,7 +230,9 @@ class FastForwardRelay:
         (n_sc, N, K).  One unitary is optimised per group of
         ``group_size`` adjacent subcarriers (channels are correlated
         across neighbouring tones, so group-level solves capture most of
-        the per-tone optimum at a fraction of the cost); per-subcarrier
+        the per-tone optimum at a fraction of the cost); all groups are
+        one stacked :func:`repro.core.cnf_filter.mimo_cnf_filter` call on
+        the group-mean channels (:func:`group_means`).  Per-subcarrier
         scalar phases refine each group's filter (see
         :func:`repro.core.cnf_filter.band_phase_alignment`).
         """
@@ -243,17 +259,12 @@ class FastForwardRelay:
                 np.eye(k, dtype=complex), (n_sc, k, k)).copy()
             self._mimo_phases = np.zeros(n_sc)
             return self
-        self._mimo_f0 = np.empty((n_sc, k, k), dtype=complex)
-        self._mimo_phases = np.empty(n_sc)
-        for start in range(0, n_sc, group_size):
-            group = slice(start, min(start + group_size, n_sc))
-            f_group = mimo_cnf_filter(
-                h_sd[group].mean(axis=0), h_sr[group].mean(axis=0),
-                h_rd[group].mean(axis=0), self.amplification_db)
-            self._mimo_f0[group] = f_group
-            self._mimo_phases[group] = band_phase_alignment(
-                h_sd[group], h_sr[group], h_rd[group], f_group,
-                self.amplification_db)
+        f_groups = mimo_cnf_filter(
+            *(group_means(h, group_size) for h in (h_sd, h_sr, h_rd)),
+            self.amplification_db)
+        self._mimo_f0 = f_groups[np.arange(n_sc) // group_size]
+        self._mimo_phases = band_phase_alignment(
+            h_sd, h_sr, h_rd, self._mimo_f0, self.amplification_db)
         return self
 
     # -- link-level results ----------------------------------------------
@@ -358,28 +369,23 @@ class FastForwardRelay:
         a2 = db_to_power(self.amplification_db)
         sigma_d2 = 10.0 ** (cfg.noise_floor_dbm / 10.0)
         sigma_r2 = 10.0 ** (cfg.relay_noise_floor_dbm / 10.0)
-        p_per_stream = 10.0 ** (cfg.tx_power_dbm / 10.0) / self._h_sd.shape[2]
-        n_sc, n_rx, _ = self._h_sd.shape
-        h_eff = np.empty_like(self._h_sd)
-        noise_cov = np.empty((n_sc, n_rx, n_rx), dtype=complex)
-        eye = np.eye(n_rx)
-        for s in range(n_sc):
-            f = np.exp(1j * self._mimo_phases[s]) * self._mimo_f0[s]
-            relay_term = self._h_rd[s] @ f @ (a * self._h_sr[s])
-            h_eff[s] = self._h_sd[s] + np.sqrt(rho) * relay_term
-            relay_mix = self._h_rd[s] @ f
-            cov = sigma_d2 * eye \
-                + a2 * sigma_r2 * (relay_mix @ relay_mix.conj().T)
-            if rho < 1.0:
-                lost = (ISI_ICI_FACTOR * (1.0 - rho) * p_per_stream
-                        * np.mean(np.abs(relay_term) ** 2)
-                        * self._h_sd.shape[2])
-                cov = cov + lost * eye
-            recirc = self._recirculation_factor(extra_path_delay_s)
-            if recirc > 0.0:
-                cov = cov + recirc * p_per_stream \
-                    * (relay_term @ relay_term.conj().T)
-            noise_cov[s] = cov
+        n_tx = self._h_sd.shape[2]
+        p_per_stream = 10.0 ** (cfg.tx_power_dbm / 10.0) / n_tx
+        eye = np.eye(self._h_sd.shape[1])
+        f = np.exp(1j * self._mimo_phases)[:, None, None] * self._mimo_f0
+        relay_mix = self._h_rd @ f
+        relay_term = relay_mix @ (a * self._h_sr)
+        h_eff = self._h_sd + np.sqrt(rho) * relay_term
+        noise_cov = sigma_d2 * eye \
+            + a2 * sigma_r2 * (relay_mix @ relay_mix.conj().swapaxes(-1, -2))
+        if rho < 1.0:
+            lost = (ISI_ICI_FACTOR * (1.0 - rho) * p_per_stream
+                    * np.mean(np.abs(relay_term) ** 2, axis=(1, 2)) * n_tx)
+            noise_cov = noise_cov + lost[:, None, None] * eye
+        recirc = self._recirculation_factor(extra_path_delay_s)
+        if recirc > 0.0:
+            noise_cov = noise_cov + recirc * p_per_stream \
+                * (relay_term @ relay_term.conj().swapaxes(-1, -2))
         return h_eff, noise_cov
 
     def stream_sinrs_db(self, extra_path_delay_s=0.0):
@@ -389,21 +395,10 @@ class FastForwardRelay:
         impairment (relayed noise colouring, ISI, loop recirculation)
         flows through one model.
         """
-        from repro.phy.mimo import mimo_stream_sinrs
-
         h_eff, noise_cov = self.mimo_effective_channels(extra_path_delay_s)
-        cfg = self.config
-        p_per_stream = 10.0 ** (cfg.tx_power_dbm / 10.0) / h_eff.shape[2]
-        n_sc, _, num_streams = h_eff.shape
-        out = np.empty((n_sc, num_streams))
-        for s in range(n_sc):
-            vals, vecs = np.linalg.eigh(noise_cov[s])
-            whiten = (vecs / np.sqrt(np.maximum(vals.real, 1e-30))) \
-                @ vecs.conj().T
-            h_white = whiten @ h_eff[s] * np.sqrt(p_per_stream)
-            sinrs = mimo_stream_sinrs(h_white, 1.0)
-            out[s] = 10.0 * np.log10(np.maximum(sinrs, 1e-30))
-        return out
+        sinrs = multiplexing_stream_sinrs(
+            h_eff, noise_cov, 10.0 ** (self.config.tx_power_dbm / 10.0))
+        return 10.0 * np.log10(np.maximum(sinrs, 1e-30))
 
     @property
     def decomposition(self):

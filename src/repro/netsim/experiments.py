@@ -185,7 +185,7 @@ def _client_block(fn_name, blocks):
     return rows
 
 
-@task_fn("netsim.overall-gains-client", version="1")
+@task_fn("netsim.overall-gains-client", version="2")
 def _overall_gains_client(scenario, testbed_seed, client, relay_config=None,
                           rng=None):
     """Figs. 12/13/15 work unit: the three schemes' rates for one client."""
@@ -215,7 +215,7 @@ def _overall_gains_client(scenario, testbed_seed, client, relay_config=None,
             "streams": int(streams)}
 
 
-@task_fn("netsim.siso-gains-client", version="1")
+@task_fn("netsim.siso-gains-client", version="2")
 def _siso_gains_client(scenario, testbed_seed, client, rng=None):
     """Fig. 14 work unit: SISO AP/HD/FF rates for one client."""
     testbed = Testbed(scenario, seed=testbed_seed)
@@ -234,7 +234,7 @@ def _siso_gains_client(scenario, testbed_seed, client, rng=None):
             "ff": float(ff_siso_rate(relay, delay))}
 
 
-@task_fn("netsim.uplink-gains-client", version="1")
+@task_fn("netsim.uplink-gains-client", version="2")
 def _uplink_gains_client(scenario, testbed_seed, client,
                          client_tx_power_dbm=15.0, rng=None):
     """Uplink work unit: reciprocal roles, client-power budget."""
@@ -253,7 +253,7 @@ def _uplink_gains_client(scenario, testbed_seed, client,
                 h_sd, tx_power_dbm=client_tx_power_dbm))}
 
 
-@task_fn("netsim.latency-client", version="1")
+@task_fn("netsim.latency-client", version="2")
 def _latency_client(scenario, testbed_seed, client, extra_buffering_s,
                     rng=None):
     """Fig. 16 work unit: FF vs HD at one buffering depth."""
@@ -324,7 +324,7 @@ def _link_health_client(scenario, testbed_seed, client, n_symbols=24,
     return probes.summary()
 
 
-@task_fn("netsim.cancellation-client", version="1")
+@task_fn("netsim.cancellation-client", version="2")
 def _cancellation_client(scenario, testbed_seed, client, cancellation_db,
                          rng=None):
     """Fig. 18 work unit: FF vs HD at one cancellation depth."""

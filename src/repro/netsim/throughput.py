@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.phy.mimo import multiplexing_stream_sinrs
 from repro.phy.rates import effective_snr_db, mimo_phy_rate_mbps, phy_rate_mbps
 from repro.utils.units import power_to_db
 
@@ -26,31 +27,11 @@ def _eigen_beamforming_snrs(h_eff, noise_cov, tx_power):
     """Per-subcarrier best single-stream SNR (linear).
 
     The AP beamforms along the generalised dominant direction of
-    ``H^H R^-1 H`` with the full power budget.
+    ``H^H R^-1 H`` with the full power budget.  All subcarriers are one
+    stacked ``inv`` / ``eigvalsh``.
     """
-    n_sc = h_eff.shape[0]
-    out = np.empty(n_sc)
-    for s in range(n_sc):
-        r_inv = np.linalg.inv(noise_cov[s])
-        gram = h_eff[s].conj().T @ r_inv @ h_eff[s]
-        vals = np.linalg.eigvalsh(gram)
-        out[s] = tx_power * max(float(vals[-1].real), 0.0)
-    return out
-
-
-def _multiplexing_stream_snrs(h_eff, noise_cov, tx_power):
-    """Per-subcarrier per-stream MMSE SINRs (linear), equal power split."""
-    from repro.phy.mimo import mimo_stream_sinrs
-
-    n_sc, _, n_streams = h_eff.shape
-    p_stream = tx_power / n_streams
-    out = np.empty((n_sc, n_streams))
-    for s in range(n_sc):
-        vals, vecs = np.linalg.eigh(noise_cov[s])
-        whiten = (vecs / np.sqrt(np.maximum(vals.real, 1e-30))) @ vecs.conj().T
-        h_white = whiten @ h_eff[s] * np.sqrt(p_stream)
-        out[s] = mimo_stream_sinrs(h_white, 1.0)
-    return out
+    gram = h_eff.conj().swapaxes(-1, -2) @ np.linalg.inv(noise_cov) @ h_eff
+    return tx_power * np.maximum(np.linalg.eigvalsh(gram)[..., -1], 0.0)
 
 
 def mimo_rate_mbps(h_eff, noise_cov, tx_power_dbm=20.0):
@@ -64,7 +45,7 @@ def mimo_rate_mbps(h_eff, noise_cov, tx_power_dbm=20.0):
     noise_cov = np.asarray(noise_cov, dtype=complex)
     tx_power = 10.0 ** (tx_power_dbm / 10.0)
 
-    stream_snrs = _multiplexing_stream_snrs(h_eff, noise_cov, tx_power)
+    stream_snrs = multiplexing_stream_sinrs(h_eff, noise_cov, tx_power)
     per_stream_eff = [effective_snr_db(power_to_db(
         np.maximum(stream_snrs[:, k], 1e-12)))
         for k in range(stream_snrs.shape[1])]
@@ -118,7 +99,7 @@ def usable_streams(h_eff, noise_cov, tx_power_dbm=20.0, min_snr_db=2.0):
     h_eff = np.asarray(h_eff, dtype=complex)
     noise_cov = np.asarray(noise_cov, dtype=complex)
     tx_power = 10.0 ** (tx_power_dbm / 10.0)
-    stream_snrs = _multiplexing_stream_snrs(h_eff, noise_cov, tx_power)
+    stream_snrs = multiplexing_stream_sinrs(h_eff, noise_cov, tx_power)
     all_streams_ok = all(
         effective_snr_db(power_to_db(np.maximum(stream_snrs[:, k], 1e-12)))
         >= min_snr_db

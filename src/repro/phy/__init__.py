@@ -31,6 +31,7 @@ from repro.phy.mimo import (
     zf_detect,
     mmse_detect,
     mimo_stream_sinrs,
+    multiplexing_stream_sinrs,
     effective_rank,
     condition_number_db,
     water_filling,
@@ -74,6 +75,7 @@ __all__ = [
     "zf_detect",
     "mmse_detect",
     "mimo_stream_sinrs",
+    "multiplexing_stream_sinrs",
     "effective_rank",
     "condition_number_db",
     "water_filling",

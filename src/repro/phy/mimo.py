@@ -69,6 +69,27 @@ def mimo_stream_sinrs(h, noise_var, detector="mmse"):
     raise ValueError(f"unknown detector {detector!r}; use 'mmse' or 'zf'")
 
 
+def multiplexing_stream_sinrs(h, noise_cov, tx_power):
+    """Per-stream MMSE SINRs (linear) of spatial multiplexing in coloured noise.
+
+    ``h`` is ``(..., num_rx, num_tx)`` — one channel or a stack, e.g. one
+    per subcarrier — and ``noise_cov`` the matching ``(..., num_rx,
+    num_rx)`` noise covariance.  ``tx_power`` is split equally over the
+    ``num_tx`` streams.  Each channel is whitened by ``noise_cov^-1/2``
+    and then takes the MMSE closed form of :func:`mimo_stream_sinrs` at
+    unit noise; a whole stack is one array program.
+    """
+    h = np.asarray(h, dtype=complex)
+    vals, vecs = np.linalg.eigh(np.asarray(noise_cov, dtype=complex))
+    whiten = (vecs / np.sqrt(np.maximum(vals, 1e-30))[..., None, :]) \
+        @ vecs.conj().swapaxes(-1, -2)
+    h_white = whiten @ h * np.sqrt(tx_power / h.shape[-1])
+    gram = h_white.conj().swapaxes(-1, -2) @ h_white
+    inv = np.linalg.inv(np.eye(h.shape[-1]) + gram)
+    diag = np.clip(np.real(np.diagonal(inv, axis1=-2, axis2=-1)), 1e-15, 1.0)
+    return 1.0 / diag - 1.0
+
+
 def effective_rank(h, threshold_db=15.0):
     """Number of usable spatial streams of a channel matrix.
 

@@ -128,7 +128,9 @@ class FrequencyResponseStage(Stage):
         segment = np.concatenate([self._history, chunk], axis=-1)
         spec = np.fft.fft(segment, axis=-1)
         if self._streams is None:
-            out_spec = self._spectrum * spec
+            # In place: one fewer FFT-sized temporary per hop (each is
+            # fresh pages, i.e. page faults, once the heap is trimmed).
+            out_spec = np.multiply(self._spectrum, spec, out=spec)
         else:
             out_spec = np.einsum("rtm,tm->rm", self._spectrum, spec)
         y = np.fft.ifft(out_spec, axis=-1)[..., length - 1:]

@@ -10,9 +10,10 @@ from repro.core import (
     siso_cnf_phase,
     siso_destination_snr,
 )
-from repro.core.cnf_filter import _unitary_from_params, band_phase_alignment
+from repro.core.cnf_filter import band_phase_alignment
 from repro.utils import make_rng
 from repro.utils.units import db_to_linear
+from tests.nelder_mead_oracle import unitary_from_params
 
 
 def _random_channels(rng, n=16):
@@ -81,11 +82,11 @@ class TestUnitaryParametrisation:
     def test_produces_unitary(self):
         rng = make_rng(5)
         for _ in range(10):
-            u = _unitary_from_params(rng.standard_normal(4), 2)
+            u = unitary_from_params(rng.standard_normal(4), 2)
             assert np.allclose(u @ u.conj().T, np.eye(2), atol=1e-10)
 
     def test_zero_params_is_identity(self):
-        assert np.allclose(_unitary_from_params(np.zeros(4), 2), np.eye(2))
+        assert np.allclose(unitary_from_params(np.zeros(4), 2), np.eye(2))
 
 
 class TestMimoCnf:
