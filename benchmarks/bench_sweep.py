@@ -118,8 +118,8 @@ def main(argv=None):
     parser.add_argument("--backend", default="process",
                         choices=("thread", "process"))
     parser.add_argument("--block", type=int, default=4,
-                        help="clients per dispatched task "
-                             "(netsim client-block batching)")
+                        help="clients per dispatched chunk (every client "
+                             "is still its own task)")
     parser.add_argument("--out", default=os.path.join(
         os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
         "BENCH_sweep.json"))

@@ -65,7 +65,6 @@ import time
 from collections import deque
 from concurrent.futures import (
     FIRST_COMPLETED,
-    FIRST_EXCEPTION,
     BrokenExecutor,
     ProcessPoolExecutor,
     ThreadPoolExecutor,
@@ -249,24 +248,6 @@ def last_sweep_stats():
     return _LAST_STATS[-1] if _LAST_STATS else None
 
 
-def _execute_item(item, chaos=None):
-    """Run one ``(index, module, fn_name, params, seed, attempt)`` unit.
-
-    The defining module is imported first so spawned processes populate
-    the task registry before resolving the function name.  With a chaos
-    plan, the seeded injection for (task index, attempt) fires before
-    the task function runs.
-    """
-    index, module, fn_name, params, seed, attempt = item
-    importlib.import_module(module)
-    fn, _ = resolve_task_fn(fn_name)
-    if chaos is not None:
-        chaos_injection.maybe_inject(chaos, index, attempt)
-    if seed is None:
-        return index, fn(**params)
-    return index, fn(**params, rng=np.random.default_rng(seed))
-
-
 def _portable_error(exc):
     """``exc`` if it survives pickling, else a summarising RuntimeError.
 
@@ -281,35 +262,42 @@ def _portable_error(exc):
         return RuntimeError(f"{type(exc).__name__}: {exc}")
 
 
-def _capture_item(item, chaos=None):
-    """Run one item, capturing failure instead of raising.
+def _run_item(item, chaos=None):
+    """Run one ``(index, module, fn_name, params, seed, attempt)`` unit.
 
-    Returns ``(index, ("ok", value))`` or ``(index, ("err", exc))`` so
-    one raising task cannot take down its chunkmates — the parent's
-    ledger decides retry/quarantine per task.
+    The defining module is imported first so spawned processes populate
+    the task registry before resolving the function name.  With a chaos
+    plan, the seeded injection for (task index, attempt) fires before
+    the task function runs.
+
+    Returns ``(index, ("ok", value))`` or ``(index, ("err", exc))``:
+    failure is captured, never raised, so one raising task cannot take
+    down its chunkmates — the parent's ledger decides retry, quarantine
+    or raise per task.
     """
+    index, module, fn_name, params, seed, attempt = item
     try:
-        _, value = _execute_item(item, chaos)
-        return item[0], ("ok", value)
+        importlib.import_module(module)
+        fn, _ = resolve_task_fn(fn_name)
+        if chaos is not None:
+            chaos_injection.maybe_inject(chaos, index, attempt)
+        if seed is None:
+            return index, ("ok", fn(**params))
+        return index, ("ok", fn(**params, rng=np.random.default_rng(seed)))
     except Exception as exc:
-        return item[0], ("err", _portable_error(exc))
+        return index, ("err", _portable_error(exc))
 
 
-def _run_chunk(items, collect=False, shard=None, packed=False,
-               capture=False, chaos=None):
-    """Execute one chunk; returns ``(results, telemetry_payload)``.
+def _run_chunk(items, collect=False, shard=None, packed=False, chaos=None):
+    """Execute one chunk; returns ``(outcomes, telemetry_payload)``.
 
-    Runs in a worker (thread or process).  When ``packed`` is set the
-    item params carry :class:`~repro.exec.shm.ShmSlice` descriptors
-    and are hydrated into read-only shared-memory views first; the
-    hydration cost is recorded as ``exec.dispatch.unpack_ns`` per
-    shard, so serialization overhead is separable from task compute
+    Runs in a worker (thread or process) or inline in the parent.  Each
+    outcome is a tagged pair from :func:`_run_item`.  When ``packed`` is
+    set the item params carry :class:`~repro.exec.shm.ShmSlice`
+    descriptors and are hydrated into read-only shared-memory views
+    first; the hydration cost is recorded as ``exec.dispatch.unpack_ns``
+    per shard, so serialization overhead is separable from task compute
     (``exec.task.wall_ns``).
-
-    ``capture`` switches per-item results to tagged outcomes (see
-    :func:`_capture_item`) for the fault-tolerant dispatcher; without
-    it a raising task propagates out of the chunk (the legacy
-    fail-fast contract).
 
     When ``collect`` is set the chunk gets its own
     :class:`~repro.telemetry.TelemetryCollector`, installed
@@ -326,9 +314,7 @@ def _run_chunk(items, collect=False, shard=None, packed=False,
                  for index, module, fn_name, params, seed, attempt in items]
         unpack_s = time.perf_counter() - start
     if not collect:
-        if capture:
-            return [_capture_item(item, chaos) for item in items], None
-        return [_execute_item(item, chaos) for item in items], None
+        return [_run_item(item, chaos) for item in items], None
     collector = TelemetryCollector(origin=f"shard-{shard}")
     out = []
     with use_collector(collector), \
@@ -338,17 +324,10 @@ def _run_chunk(items, collect=False, shard=None, packed=False,
                                 shard=shard).observe(unpack_s * NS_PER_S)
         for item in items:
             fn_name = item[2]
-            if capture:
-                pair, wall_s = timed_call(_capture_item, item, chaos)
-                ok = pair[1][0] == "ok"
-            else:
-                pair, wall_s = timed_call(_execute_item, item, chaos)
-                ok = True
+            pair, wall_s = timed_call(_run_item, item, chaos)
             out.append(pair)
-            if ok:
-                collector.counter("exec.tasks.completed", fn=fn_name).inc()
-            else:
-                collector.counter("exec.tasks.failed", fn=fn_name).inc()
+            outcome = "completed" if pair[1][0] == "ok" else "failed"
+            collector.counter(f"exec.tasks.{outcome}", fn=fn_name).inc()
             collector.histogram("exec.task.wall_ns", unit="ns",
                                 fn=fn_name).observe(wall_s * NS_PER_S)
     return out, collector.payload()
@@ -392,10 +371,8 @@ def _auto_chunk_size(per_task_s, n_pending, jobs):
     return max(1, min(max(size, 1), math.ceil(n_pending / jobs)))
 
 
-def _chunked(pending, jobs, chunk_size):
-    chunk_size = _resolve_chunk_size(len(pending), jobs, chunk_size)
-    return [pending[i:i + chunk_size]
-            for i in range(0, len(pending), chunk_size)]
+def _chunked(pending, size):
+    return [pending[i:i + size] for i in range(0, len(pending), size)]
 
 
 class _Flight:
@@ -410,7 +387,7 @@ class _Flight:
 
 
 class _Dispatcher:
-    """Fault-tolerant chunk dispatch (the ``run_sweep`` engine room).
+    """Chunk dispatch for every backend (the ``run_sweep`` engine room).
 
     Owns the worker pool and the failure bookkeeping: captured task
     errors are charged against the :class:`FailureLedger` and retried
@@ -420,22 +397,23 @@ class _Dispatcher:
     demoted one backend-ladder rung at a time down to inline serial
     execution.  Tasks whose budget is spent are quarantined (or, with
     quarantine off, stop dispatch and re-raise once in-flight work has
-    been salvaged).
+    been salvaged).  Without fault tolerance the budget is zero, so
+    the first failing task stops the sweep and the lowest-index
+    failure is raised.
     """
 
-    def __init__(self, backend, jobs, policy, chaos, tel, collect, packed,
-                 stats, complete, quarantine, fn_of):
+    def __init__(self, backend, jobs, policy, chaos, tel, collect, stats,
+                 complete, quarantine):
         self.backend = backend
         self.jobs = jobs
         self.policy = policy
         self.chaos = chaos
         self.tel = tel
         self.collect = collect
-        self.packed = packed
+        self.packed = False
         self.stats = stats
         self._complete = complete
         self._quarantine_cb = quarantine
-        self._fn_of = fn_of
         self.ledger = FailureLedger(policy)
         self.queue = deque()
         self.delayed = []               # heap of (ready_at, seq, chunk)
@@ -450,8 +428,26 @@ class _Dispatcher:
 
     # -- lifecycle -----------------------------------------------------------
 
-    def run(self, chunks):
-        """Dispatch ``chunks`` to completion (or first fatal error)."""
+    def probe(self, item):
+        """Run ``item`` inline in the parent; returns its wall seconds.
+
+        The auto-chunk probe.  Its outcome goes through the normal
+        harvest, so a failure is charged like any other attempt; its
+        telemetry sorts before every shard, keeping merge order equal
+        to task order.
+        """
+        result, wall_s = timed_call(_run_chunk, [item], self.collect,
+                                    "probe", False, self.chaos)
+        self._harvest(-1, [item], result)
+        return wall_s
+
+    def run(self, chunks, packed=False):
+        """Dispatch ``chunks`` to completion (or first fatal error).
+
+        ``packed`` marks chunks whose params are shared-memory
+        descriptors (:mod:`repro.exec.shm`).
+        """
+        self.packed = packed
         self.queue.extend(chunks)
         try:
             while self.queue or self.delayed or self.inflight:
@@ -560,7 +556,7 @@ class _Dispatcher:
                         chunk, pickle.HIGHEST_PROTOCOL)))
             try:
                 future = pool.submit(_run_chunk, chunk, self.collect, shard,
-                                     self.packed, True, self.chaos)
+                                     self.packed, self.chaos)
             except (BrokenExecutor, RuntimeError):
                 # The pool broke between harvests; the break handler
                 # requeues in-flight work and respawns or degrades.
@@ -785,7 +781,7 @@ class _Dispatcher:
             chunk = self.queue.popleft()
             shard = next(self._shard)
             result = _run_chunk(chunk, self.collect, shard, self.packed,
-                                True, self.chaos)
+                                self.chaos)
             self._harvest(shard, chunk, result)
 
 
@@ -799,12 +795,16 @@ def run_sweep(tasks, jobs=None, backend=None, cache=None, checkpoint=None,
     resume; it implies the default cache when none is configured, since
     resumable results must be persisted somewhere.
 
-    ``chunk_size`` is an explicit per-chunk task count, ``None`` for
-    the default layout (~4 chunks per worker), or ``"auto"``: the
-    first pending task runs inline in the parent, its measured wall
-    time sizes the remaining chunks to ~:data:`AUTO_CHUNK_TARGET_S`
-    of compute each.  Results are bit-identical whatever the chunk
-    layout — only dispatch overhead changes.
+    Every backend runs through one dispatcher.  With the serial
+    backend, ``jobs=1`` or at most one pending task, every task runs
+    inline in the parent as its own chunk and ``stats.backend`` reports
+    ``"serial"``.  On a pool, ``chunk_size`` is an explicit per-chunk
+    task count, ``None`` for the default layout (~4 chunks per worker),
+    or ``"auto"``: the first pending task runs inline in the parent,
+    its measured wall time sizes the remaining chunks to
+    ~:data:`AUTO_CHUNK_TARGET_S` of compute each.  Results are
+    bit-identical whatever the chunk layout — only dispatch overhead
+    changes.
 
     Fault tolerance: ``max_retries`` re-runs failing tasks with seeded
     exponential backoff (default ``REPRO_MAX_RETRIES`` or 0);
@@ -812,7 +812,10 @@ def run_sweep(tasks, jobs=None, backend=None, cache=None, checkpoint=None,
     ``REPRO_TASK_TIMEOUT`` or none — serial execution cannot preempt
     and does not enforce it); ``quarantine`` forces the
     give-up behaviour (default: quarantine exactly when any fault
-    tolerance is configured, else raise as before); ``chaos`` takes a
+    tolerance is configured; otherwise the first failure stops
+    dispatch and, once in-flight chunks are harvested, the
+    lowest-index failing task's own exception is raised, with every
+    completed task already cached); ``chaos`` takes a
     :class:`~repro.exec.chaos.ChaosPolicy` injecting seeded failures;
     ``retry_policy`` supplies a full :class:`RetryPolicy` overriding
     the granular knobs.  Worker-crash recovery is always on: a
@@ -838,8 +841,6 @@ def run_sweep(tasks, jobs=None, backend=None, cache=None, checkpoint=None,
         policy = RetryPolicy.resolve(max_retries=max_retries,
                                      task_timeout=task_timeout,
                                      quarantine=quarantine, chaos=chaos)
-    tolerant = policy.enabled or chaos is not None
-
     stats = SweepStats(total=len(tasks), jobs=jobs, backend=backend,
                        cache=cache)
     start = time.perf_counter()
@@ -919,56 +920,29 @@ def run_sweep(tasks, jobs=None, backend=None, cache=None, checkpoint=None,
         done[failure.index] = True
         failures.append(failure)
 
-    def _fn_of(index):
-        return tasks[index].fn
-
+    if backend == "serial" or jobs == 1 or len(pending) <= 1:
+        # Nothing to spread over a pool: every task runs inline.
+        backend = "serial"
+    stats.backend = backend
+    dispatcher = _Dispatcher(backend, jobs, policy, chaos, tel, collect,
+                             stats, _complete, _quarantine)
     arena = None
 
     try:
         with tel.span("exec.sweep", backend=backend, jobs=jobs):
-            if backend == "serial" or jobs == 1 or len(pending) <= 1:
-                stats.backend = "serial" if jobs == 1 else backend
-                if tolerant:
-                    dispatcher = _Dispatcher(
-                        "serial", 1, policy, chaos, tel, collect, False,
-                        stats, _complete, _quarantine, _fn_of)
-                    dispatcher.run([[item] for item in pending])
-                else:
-                    for shard, item in enumerate(pending):
-                        out, payload = _run_chunk([item], collect, shard)
-                        tel.merge(payload)
-                        for index, value in out:
-                            _complete(index, value)
-                stats.chunks = len(pending)
+            probed = 0
+            if backend == "serial":
+                chunks = [[item] for item in pending]
             else:
-                probed = 0
                 if chunk_size == "auto":
                     # Measure one task inline; its wall time sizes the
-                    # chunks dispatched to the pool.  pending[0] keeps
-                    # telemetry merge order == task order.
-                    (out, payload), probe_s = timed_call(
-                        _run_chunk, [pending[0]], collect, "probe", False,
-                        tolerant, chaos)
-                    tel.merge(payload)
-                    probe_failed = False
-                    for index, value in out:
-                        if tolerant:
-                            kind, value = value
-                            if kind != "ok":
-                                # The probe's failure is not charged —
-                                # it re-enters the dispatcher at
-                                # attempt 0 and pays there if it keeps
-                                # failing.
-                                probe_failed = True
-                                continue
-                        _complete(index, value)
-                    if probe_failed:
-                        chunk_size = None
-                    else:
-                        pending = pending[1:]
-                        probed = 1
-                        chunk_size = _auto_chunk_size(probe_s, len(pending),
-                                                      jobs)
+                    # chunks dispatched to the pool.
+                    probe_s = dispatcher.probe(pending[0])
+                    probed = 1
+                    chunk_size = (_auto_chunk_size(probe_s, len(pending) - 1,
+                                                   jobs)
+                                  if done[pending[0][0]] else None)
+                    pending = pending[1:]
                 size = _resolve_chunk_size(len(pending), jobs, chunk_size)
                 stats.chunk_size = size
                 # Process workers get param ndarrays through one shared
@@ -989,15 +963,11 @@ def run_sweep(tasks, jobs=None, backend=None, cache=None, checkpoint=None,
                                   unit="layout").set(arena.nbytes)
                         tel.gauge("exec.dispatch.shm_arrays",
                                   unit="layout").set(arena.num_arrays)
-                packed = arena is not None
-                chunks = _chunked(pending, jobs, size)
-                stats.chunks = len(chunks) + probed
+                chunks = _chunked(pending, size)
                 tel.gauge("exec.dispatch.chunk_size",
                           unit="layout").set(size)
-                dispatcher = _Dispatcher(
-                    backend, jobs, policy, chaos, tel, collect, packed,
-                    stats, _complete, _quarantine, _fn_of)
-                dispatcher.run(chunks)
+            stats.chunks = len(chunks) + probed
+            dispatcher.run(chunks, packed=arena is not None)
     finally:
         if arena is not None:
             # The pool has been shut down (workers drained or dead), so

@@ -135,9 +135,7 @@ def _coerce_storm(storm):
 def fleet_experiment(rows=4, cols=4, clients_per_home=4, seed=0,
                      policy="hashed-lb", policy_kwargs=None,
                      storm=0.25, storm_seed=None, num_steps=240,
-                     reroute=None, config=None,
-                     jobs=None, cache=None, backend=None, checkpoint=None,
-                     max_retries=None, task_timeout=None, chaos=None):
+                     reroute=None, config=None, **engine):
     """Run a full district sweep and fold the fleet-level aggregates.
 
     Generates the seeded district, runs the chosen association policy,
@@ -145,7 +143,8 @@ def fleet_experiment(rows=4, cols=4, clients_per_home=4, seed=0,
     :func:`repro.exec.run_sweep`, and returns plain arrays plus CDF
     summaries.  ``storm`` is a fault-storm rate (or a full
     :class:`RelayFaultStorm`); ``reroute`` a
-    :class:`FleetReroutePolicy` (default timings when ``None``).
+    :class:`FleetReroutePolicy` (default timings when ``None``);
+    ``**engine`` goes to :func:`repro.exec.run_sweep`.
 
     The returned ``latency_bound_intervals`` is the policy's hard
     bound: every observed ``reroute_latency_intervals`` entry is
@@ -167,9 +166,7 @@ def fleet_experiment(rows=4, cols=4, clients_per_home=4, seed=0,
             district, table)
 
         tasks = _plan_tasks(plan, storm, reroute, storm_seed, num_steps)
-        sweep = run_sweep(tasks, jobs=jobs, backend=backend, cache=cache,
-                          checkpoint=checkpoint, max_retries=max_retries,
-                          task_timeout=task_timeout, chaos=chaos)
+        sweep = run_sweep(tasks, **engine)
 
         throughput = np.zeros(district.num_clients)
         latencies, rescued_flags = [], []

@@ -14,19 +14,21 @@ derived exactly as the original serial loops derived them, so
 * ``jobs=4`` output is bit-identical to ``jobs=1`` output, and
 * every ported sweep reproduces the seed implementation's numbers.
 
-Each runner accepts ``jobs=``, ``cache=``, ``backend=`` and
-``checkpoint=`` keywords (``None`` defers to the ``REPRO_JOBS`` /
-``REPRO_CACHE`` / ``REPRO_BACKEND`` environment defaults), plus the
-fault-tolerance trio ``max_retries=`` / ``task_timeout=`` / ``chaos=``
-passed straight through to :func:`repro.exec.run_sweep` (``None``
-defers to ``REPRO_MAX_RETRIES`` / ``REPRO_TASK_TIMEOUT``; see
-:mod:`repro.exec.recovery`).
+Every sweep runner takes ``**engine`` and forwards it to
+:func:`repro.exec.run_sweep`: ``jobs``, ``backend``, ``cache``,
+``checkpoint``, ``chunk_size``, ``max_retries``, ``task_timeout``,
+``quarantine``, ``chaos`` and ``retry_policy`` (``None`` defers to the
+``REPRO_*`` environment defaults; see :mod:`repro.exec.executor` and
+:mod:`repro.exec.recovery`).  ``block_size`` is the netsim name for
+``chunk_size``: clients per dispatched chunk.  Every client is its own
+task whatever the chunk layout, so results and cache keys never
+depend on it.  Runners that run more than one sweep give each phase
+its own manifest, ``<checkpoint>.<phase>``.
 """
 
 from __future__ import annotations
 
 import functools
-import os
 
 import numpy as np
 
@@ -72,36 +74,16 @@ def _collect_clients(testbed, num_clients, seed):
     return positions, child_seeds(seed + 1, num_clients)
 
 
-def _default_block_size():
-    """The ``REPRO_BLOCK`` environment default for client blocking."""
-    raw = os.environ.get("REPRO_BLOCK", "").strip()
-    if not raw:
-        return None
-    value = int(raw)
-    return value if value > 1 else None
-
-
-def _client_tasks(fn_name, scenarios, num_clients, seed, stream, extra=None,
-                  block_size=None):
-    """One engine task per (scenario, client) — or per client *block*.
+def _client_tasks(fn_name, scenarios, num_clients, seed, stream, extra=None):
+    """One engine task per (scenario, client).
 
     The per-client scaffolding every sweep used to duplicate — scenario
     ``i`` gets testbed seed ``seed + i``, its clients come from
     ``_collect_clients(testbed, count, seed + stream + i)`` — hoisted
     into one helper so all experiments derive per-client seeds the same
     way (and keep the seed implementation's exact numbers).
-
-    ``block_size`` > 1 packs that many consecutive clients into one
-    ``netsim.client-block`` task (amortising per-task dispatch,
-    serialisation and cache bookkeeping); per-client seeds travel inside
-    the block, so flattened results are bit-identical to the per-client
-    layout in the same order.  ``None`` defers to the ``REPRO_BLOCK``
-    environment default (unset means one task per client, the layout
-    every cache entry and manifest produced so far was keyed under).
     """
-    if block_size is None:
-        block_size = _default_block_size()
-    units = []
+    tasks = []
     for s_idx, scenario in enumerate(scenarios):
         testbed = Testbed(scenario, seed=seed + s_idx)
         count = max(1, num_clients // len(scenarios))
@@ -112,78 +94,32 @@ def _client_tasks(fn_name, scenarios, num_clients, seed, stream, extra=None,
                       "client": client}
             if extra:
                 params.update(extra)
-            units.append((params, client_seed))
-    if not block_size or block_size <= 1:
-        return [Task(fn_name, params, seed=client_seed)
-                for params, client_seed in units]
-    return [
-        Task("netsim.client-block",
-             {"fn_name": fn_name,
-              "blocks": tuple(units[i : i + block_size])})
-        for i in range(0, len(units), int(block_size))
-    ]
+            tasks.append(Task(fn_name, params, seed=client_seed))
+    return tasks
 
 
-def _task_client_count(tasks):
-    """Clients covered by a task list (blocks count their members)."""
-    return sum(len(t.params["blocks"]) if t.fn == "netsim.client-block"
-               else 1 for t in tasks)
+def _split_rows(rows, n):
+    """``rows`` cut into ``n`` equal consecutive runs, one per sweep point."""
+    size = len(rows) // n if n else 0
+    return [rows[i * size:(i + 1) * size] for i in range(n)]
 
 
-def _block_rows(results):
-    """Flatten sweep results back to one row per client.
+def _engine(engine, phase=None):
+    """A runner's ``**engine`` as :func:`run_sweep` keywords.
 
-    Per-client tasks return dict rows; ``netsim.client-block`` tasks
-    return a list of them.  Blocks preserve client order, so the
-    flattened sequence matches the unblocked layout exactly.
+    ``block_size`` becomes ``chunk_size``; ``phase`` suffixes the
+    checkpoint of a runner that runs more than one sweep.
     """
-    rows = []
-    for result in results:
-        if isinstance(result, list):
-            rows.extend(result)
-        else:
-            rows.append(result)
-    return rows
-
-
-def _sub_checkpoint(checkpoint, label):
-    """A per-phase manifest path for experiments that run >1 sweep."""
-    return None if checkpoint is None else f"{checkpoint}.{label}"
-
-
-def _ft_kwargs(max_retries, task_timeout, chaos):
-    """The fault-tolerance trio every runner forwards to ``run_sweep``."""
-    return {"max_retries": max_retries, "task_timeout": task_timeout,
-            "chaos": chaos}
+    engine = dict(engine)
+    engine.setdefault("chunk_size", engine.pop("block_size", None))
+    if phase is not None and engine.get("checkpoint") is not None:
+        engine["checkpoint"] = f"{engine['checkpoint']}.{phase}"
+    return engine
 
 
 # ---------------------------------------------------------------------------
 # Per-client task functions (pure, seeded; registered with the engine)
 # ---------------------------------------------------------------------------
-
-@task_fn("netsim.client-block", version="1")
-def _client_block(fn_name, blocks):
-    """Run a registered per-client task over a whole block of clients.
-
-    ``blocks`` is a sequence of ``(params, seed)`` pairs; each client's
-    RNG is materialised from its own seed exactly as the executor would
-    for a standalone task, so the returned row list is bit-identical to
-    running the clients as individual tasks.  Batching them in one task
-    amortises engine dispatch, result pickling and cache bookkeeping
-    over ``len(blocks)`` clients — the netsim half of the sweep fast
-    path (the PHY half batches inside the signal processing itself).
-    """
-    from repro.exec.task import resolve_task_fn
-
-    fn, _ = resolve_task_fn(fn_name)
-    rows = []
-    for params, client_seed in blocks:
-        kwargs = dict(params)
-        if client_seed is not None:
-            kwargs["rng"] = np.random.default_rng(client_seed)
-        rows.append(fn(**kwargs))
-    return rows
-
 
 @task_fn("netsim.overall-gains-client", version="2")
 def _overall_gains_client(scenario, testbed_seed, client, relay_config=None,
@@ -363,10 +299,7 @@ def _traced(name):
 
 @_traced("overall-gains")
 def overall_gains_experiment(num_clients=60, seed=0, scenarios=None,
-                             relay_config=None, jobs=None, cache=None,
-                             backend=None, checkpoint=None,
-                             block_size=None, max_retries=None,
-                             task_timeout=None, chaos=None):
+                             relay_config=None, **engine):
     """Figs. 12/13/15 data: per-client rates for the three schemes (2x2).
 
     Returns arrays ``ap_only``, ``half_duplex``, ``fastforward`` (Mbps)
@@ -376,12 +309,8 @@ def overall_gains_experiment(num_clients=60, seed=0, scenarios=None,
     scenarios = scenarios if scenarios is not None else paper_scenarios()
     extra = {"relay_config": relay_config} if relay_config is not None else None
     tasks = _client_tasks("netsim.overall-gains-client", scenarios,
-                          num_clients, seed, stream=100, extra=extra,
-                          block_size=block_size)
-    rows = _block_rows(run_sweep(
-        tasks, jobs=jobs, backend=backend, cache=cache,
-        checkpoint=checkpoint,
-        **_ft_kwargs(max_retries, task_timeout, chaos)).results)
+                          num_clients, seed, stream=100, extra=extra)
+    rows = run_sweep(tasks, **_engine(engine)).results
 
     out = {
         "ap_only": np.asarray([r["ap"] for r in rows]),
@@ -400,19 +329,12 @@ def overall_gains_experiment(num_clients=60, seed=0, scenarios=None,
 
 
 @_traced("siso-gains")
-def siso_gains_experiment(num_clients=60, seed=0, scenarios=None, jobs=None,
-                          cache=None, backend=None, checkpoint=None,
-                          block_size=None, max_retries=None,
-                          task_timeout=None, chaos=None):
+def siso_gains_experiment(num_clients=60, seed=0, scenarios=None, **engine):
     """Fig. 14 data: SISO AP/relay/client — pure SNR-gain territory."""
     scenarios = scenarios if scenarios is not None else paper_scenarios()
     tasks = _client_tasks("netsim.siso-gains-client", scenarios,
-                          num_clients, seed, stream=200,
-                          block_size=block_size)
-    rows = _block_rows(run_sweep(
-        tasks, jobs=jobs, backend=backend, cache=cache,
-        checkpoint=checkpoint,
-        **_ft_kwargs(max_retries, task_timeout, chaos)).results)
+                          num_clients, seed, stream=200)
+    rows = run_sweep(tasks, **_engine(engine)).results
 
     out = {
         "ap_only": np.asarray([r["ap"] for r in rows]),
@@ -428,10 +350,7 @@ def siso_gains_experiment(num_clients=60, seed=0, scenarios=None, jobs=None,
 
 @_traced("uplink-gains")
 def uplink_gains_experiment(num_clients=40, seed=0, client_tx_power_dbm=15.0,
-                            jobs=None, cache=None, backend=None,
-                            checkpoint=None, block_size=None,
-                            max_retries=None, task_timeout=None,
-                            chaos=None):
+                            **engine):
     """Uplink (client -> AP) gains — "the relay can be used to improve
     the link from the client to the AP as well" (§1, footnote 1).
 
@@ -443,12 +362,8 @@ def uplink_gains_experiment(num_clients=40, seed=0, client_tx_power_dbm=15.0,
     """
     tasks = _client_tasks(
         "netsim.uplink-gains-client", paper_scenarios(), num_clients, seed,
-        stream=700, extra={"client_tx_power_dbm": client_tx_power_dbm},
-        block_size=block_size)
-    rows = _block_rows(run_sweep(
-        tasks, jobs=jobs, backend=backend, cache=cache,
-        checkpoint=checkpoint,
-        **_ft_kwargs(max_retries, task_timeout, chaos)).results)
+        stream=700, extra={"client_tx_power_dbm": client_tx_power_dbm})
+    rows = run_sweep(tasks, **_engine(engine)).results
     out = {
         "ap_only": np.asarray([r["ap"] for r in rows]),
         "fastforward": np.asarray([r["ff"] for r in rows]),
@@ -462,20 +377,14 @@ def uplink_gains_experiment(num_clients=40, seed=0, client_tx_power_dbm=15.0,
 
 
 @_traced("scenario-classes")
-def scenario_class_experiment(num_clients=90, seed=0, jobs=None, cache=None,
-                              backend=None, checkpoint=None,
-                              max_retries=None, task_timeout=None,
-                              chaos=None):
+def scenario_class_experiment(num_clients=90, seed=0, **engine):
     """Fig. 15: gains partitioned by (SNR, rank) client class.
 
     Classes: a) low SNR + low rank (edge); b) medium/high SNR + low
     rank (pinhole); c) high SNR + full rank (near AP).
     """
     data = overall_gains_experiment(num_clients=num_clients, seed=seed,
-                                    jobs=jobs, cache=cache, backend=backend,
-                                    checkpoint=checkpoint,
-                                    max_retries=max_retries,
-                                    task_timeout=task_timeout, chaos=chaos)
+                                    **engine)
     snr = data["direct_snr_db"]
     streams = data["direct_streams"]
     gains = {}
@@ -498,10 +407,7 @@ def scenario_class_experiment(num_clients=90, seed=0, jobs=None, cache=None,
 
 @_traced("latency-sweep")
 def latency_sweep_experiment(latencies_ns=(0, 100, 200, 300, 400, 500),
-                             num_clients=40, seed=0, jobs=None, cache=None,
-                             backend=None, checkpoint=None,
-                             block_size=None, max_retries=None,
-                             task_timeout=None, chaos=None):
+                             num_clients=40, seed=0, **engine):
     """Fig. 16: median throughput gain vs relay processing latency.
 
     Extra buffering is added to the relay's budget; past the CP the
@@ -515,50 +421,36 @@ def latency_sweep_experiment(latencies_ns=(0, 100, 200, 300, 400, 500),
     results = {"latency_ns": np.asarray(latencies_ns, dtype=float)}
     base = LatencyBudget(adc_dac_s=50e-9, cnf_digital_s=50e-9,
                          extra_buffering_s=0.0).total_s()
-    tasks, spans, clients_so_far = [], [], 0
+    tasks = []
     for extra_ns in latencies_ns:
         # The sweep interprets the x-axis as *total* processing latency,
         # matching the paper ("vary the processing delay at the FF relay
         # from 100ns to 400ns"): the base budget is ~100 ns.
         extra = max(extra_ns * 1e-9 - base, 0.0)
-        lat_tasks = _client_tasks(
+        tasks.extend(_client_tasks(
             "netsim.latency-client", scenarios, num_clients, seed,
-            stream=300, extra={"extra_buffering_s": extra},
-            block_size=block_size)
-        covered = _task_client_count(lat_tasks)
-        spans.append((clients_so_far, clients_so_far + covered))
-        clients_so_far += covered
-        tasks.extend(lat_tasks)
-    rows = _block_rows(run_sweep(
-        tasks, jobs=jobs, backend=backend, cache=cache,
-        checkpoint=checkpoint,
-        **_ft_kwargs(max_retries, task_timeout, chaos)).results)
+            stream=300, extra={"extra_buffering_s": extra}))
+    rows = run_sweep(tasks, **_engine(engine)).results
 
     medians = []
-    for lo, hi in spans:
-        ff = np.asarray([r["ff"] for r in rows[lo:hi]])
-        hd = np.asarray([r["hd"] for r in rows[lo:hi]])
+    for chunk in _split_rows(rows, len(latencies_ns)):
+        ff = np.asarray([r["ff"] for r in chunk])
+        hd = np.asarray([r["hd"] for r in chunk])
         medians.append(median_gain(ff, hd))
     results["median_gain"] = np.asarray(medians)
     return results
 
 
 @_traced("no-cnf")
-def no_cnf_experiment(num_clients=60, seed=0, jobs=None, cache=None,
-                      backend=None, checkpoint=None, max_retries=None,
-                      task_timeout=None, chaos=None):
+def no_cnf_experiment(num_clients=60, seed=0, **engine):
     """Fig. 17: the blind amplify-and-forward repeater vs FastForward."""
-    data = overall_gains_experiment(
-        num_clients=num_clients, seed=seed, jobs=jobs, cache=cache,
-        backend=backend, checkpoint=_sub_checkpoint(checkpoint, "overall"),
-        max_retries=max_retries, task_timeout=task_timeout, chaos=chaos)
+    data = overall_gains_experiment(num_clients=num_clients, seed=seed,
+                                    **_engine(engine, "overall"))
     # Stream 100 on purpose: the repeater sees the same clients and
     # channel draws as the FastForward arm above.
     tasks = _client_tasks("netsim.no-cnf-client", paper_scenarios(),
                           num_clients, seed, stream=100)
-    rows = run_sweep(tasks, jobs=jobs, backend=backend, cache=cache,
-                     checkpoint=_sub_checkpoint(checkpoint, "af"),
-                     **_ft_kwargs(max_retries, task_timeout, chaos)).results
+    rows = run_sweep(tasks, **_engine(engine, "af")).results
     data["amplify_forward"] = np.asarray([r["af"] for r in rows])
     data["af_gain_vs_hd"] = relative_gains(data["amplify_forward"],
                                            data["half_duplex"])
@@ -569,35 +461,24 @@ def no_cnf_experiment(num_clients=60, seed=0, jobs=None, cache=None,
 
 @_traced("cancellation-sweep")
 def cancellation_sweep_experiment(cancellations_db=(100, 102, 104, 106, 108, 110),
-                                  num_clients=40, seed=0, jobs=None,
-                                  cache=None, backend=None, checkpoint=None,
-                                  block_size=None, max_retries=None,
-                                  task_timeout=None, chaos=None):
+                                  num_clients=40, seed=0, **engine):
     """Fig. 18: median gain vs the cancellation the relay achieves.
 
     Cancellation caps amplification (minus the loop margin); dead-spot
     clients lose the most when the cap drops.
     """
     scenarios = paper_scenarios()
-    tasks, spans, clients_so_far = [], [], 0
+    tasks = []
     for canc in cancellations_db:
-        c_tasks = _client_tasks(
+        tasks.extend(_client_tasks(
             "netsim.cancellation-client", scenarios, num_clients, seed,
-            stream=400, extra={"cancellation_db": float(canc)},
-            block_size=block_size)
-        covered = _task_client_count(c_tasks)
-        spans.append((clients_so_far, clients_so_far + covered))
-        clients_so_far += covered
-        tasks.extend(c_tasks)
-    rows = _block_rows(run_sweep(
-        tasks, jobs=jobs, backend=backend, cache=cache,
-        checkpoint=checkpoint,
-        **_ft_kwargs(max_retries, task_timeout, chaos)).results)
+            stream=400, extra={"cancellation_db": float(canc)}))
+    rows = run_sweep(tasks, **_engine(engine)).results
 
     medians, tails = [], []
-    for lo, hi in spans:
-        ff = np.asarray([r["ff"] for r in rows[lo:hi]])
-        hd = np.asarray([r["hd"] for r in rows[lo:hi]])
+    for chunk in _split_rows(rows, len(cancellations_db)):
+        ff = np.asarray([r["ff"] for r in chunk])
+        hd = np.asarray([r["hd"] for r in chunk])
         medians.append(median_gain(ff, hd))
         tails.append(percentile_gain(ff, hd, 80))
     return {
@@ -609,10 +490,7 @@ def cancellation_sweep_experiment(cancellations_db=(100, 102, 104, 106, 108, 110
 
 @_traced("link-health")
 def link_health_experiment(num_clients=4, seed=2014, n_symbols=24,
-                           fault=None, scenarios=None, jobs=None,
-                           cache=None, backend=None, checkpoint=None,
-                           block_size=None, max_retries=None,
-                           task_timeout=None, chaos=None):
+                           fault=None, scenarios=None, **engine):
     """Probe-instrumented relay passes: the link-health sweep.
 
     Each client runs a known reference frame through its sample-level
@@ -631,12 +509,8 @@ def link_health_experiment(num_clients=4, seed=2014, n_symbols=24,
     if fault is not None:
         extra["fault"] = fault
     tasks = _client_tasks("netsim.link-health-client", scenarios,
-                          num_clients, seed, stream=800, extra=extra,
-                          block_size=block_size)
-    rows = _block_rows(run_sweep(
-        tasks, jobs=jobs, backend=backend, cache=cache,
-        checkpoint=checkpoint,
-        **_ft_kwargs(max_retries, task_timeout, chaos)).results)
+                          num_clients, seed, stream=800, extra=extra)
+    rows = run_sweep(tasks, **_engine(engine)).results
 
     keys = sorted({k for row in rows for k in row})
     aggregate = {}
@@ -911,9 +785,7 @@ def fault_sweep_experiment(fault_rates=(0.0, 0.1, 0.2, 0.4), num_clients=5,
                            num_steps=60, seed=0, scenario=None,
                            si_jump_db=35.0, clip_burst_steps=6,
                            clip_fraction=0.25, retune_success_prob=0.8,
-                           jobs=None, cache=None, backend=None,
-                           checkpoint=None, max_retries=None,
-                           task_timeout=None, chaos=None):
+                           **engine):
     """Throughput vs fault rate, with and without the supervisor.
 
     The fault-injection counterpart of the gains experiments: SISO
@@ -949,10 +821,7 @@ def fault_sweep_experiment(fault_rates=(0.0, 0.1, 0.2, 0.4), num_clients=5,
              seed=client_seed)
         for client, client_seed in zip(positions, seeds)
     ]
-    clients = run_sweep(probe_tasks, jobs=jobs, backend=backend, cache=cache,
-                        checkpoint=_sub_checkpoint(checkpoint, "probe"),
-                        **_ft_kwargs(max_retries, task_timeout,
-                                     chaos)).results
+    clients = run_sweep(probe_tasks, **_engine(engine, "probe")).results
     selected = [c for c in clients if c["ff"] >= 1.3 * max(c["hd"], 1e-9)]
     if not selected:
         selected = [max(clients,
@@ -973,9 +842,7 @@ def fault_sweep_experiment(fault_rates=(0.0, 0.1, 0.2, 0.4), num_clients=5,
               "retune_success_prob": float(retune_success_prob)})
         for c_idx, c in enumerate(selected)
     ]
-    runs = run_sweep(run_tasks, jobs=jobs, backend=backend, cache=cache,
-                     checkpoint=_sub_checkpoint(checkpoint, "run"),
-                     **_ft_kwargs(max_retries, task_timeout, chaos)).results
+    runs = run_sweep(run_tasks, **_engine(engine, "run")).results
 
     supervised = np.zeros(fault_rates.size)
     unsupervised = np.zeros(fault_rates.size)

@@ -64,35 +64,25 @@ def _coverage_point(testbed, point, rng=None):
             "streams_ap": int(streams_ap), "streams_ff": int(streams_ff)}
 
 
-def coverage_heatmap(testbed: Testbed, spacing_m=1.0, seed=0, jobs=None,
-                     cache=None, backend=None, checkpoint=None,
-                     max_retries=None, task_timeout=None, chaos=None):
+def coverage_heatmap(testbed: Testbed, spacing_m=1.0, seed=0, **engine):
     """Sweep a grid of client positions; compute both coverage fields.
 
     For each point: the AP-only effective SNR and usable MIMO stream
     count, and the same with a FastForward relay configured for that
-    client.
+    client.  ``**engine`` goes to :func:`repro.exec.run_sweep`.
     """
     with current_collector().span("netsim.experiment",
                                   experiment="coverage"):
-        return _coverage_heatmap(testbed, spacing_m=spacing_m, seed=seed,
-                                 jobs=jobs, cache=cache, backend=backend,
-                                 checkpoint=checkpoint,
-                                 max_retries=max_retries,
-                                 task_timeout=task_timeout, chaos=chaos)
+        return _coverage_heatmap(testbed, spacing_m, seed, **engine)
 
 
-def _coverage_heatmap(testbed, spacing_m, seed, jobs, cache, backend,
-                      checkpoint, max_retries=None, task_timeout=None,
-                      chaos=None):
+def _coverage_heatmap(testbed, spacing_m, seed, **engine):
     grid = testbed.scenario.floorplan.grid(spacing_m=spacing_m)
     seeds = child_seeds(seed, len(grid))
     tasks = [Task("netsim.coverage-point",
                   {"testbed": testbed, "point": point}, seed=point_seed)
              for point, point_seed in zip(grid, seeds)]
-    rows = run_sweep(tasks, jobs=jobs, backend=backend, cache=cache,
-                     checkpoint=checkpoint, max_retries=max_retries,
-                     task_timeout=task_timeout, chaos=chaos).results
+    rows = run_sweep(tasks, **engine).results
 
     return HeatmapResult(
         positions=grid,

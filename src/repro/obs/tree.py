@@ -5,11 +5,10 @@ exact call forest so profiling can reason about *structure*: self time
 vs total time per node, collapsed call stacks for flamegraphs, and the
 critical path of a sweep.
 
-Records carry an ``id``/``parent`` pair (per-thread open-span stacks,
-PR 10) which gives exact reconstruction.  Older exports without those
-keys still load: the builder falls back to interval-nesting inference
-per ``(origin, pid, tid)`` lane, which is exact for single-threaded
-lanes because a parent strictly contains its children in time.
+Records carry an ``id``/``parent`` pair (per-thread open-span stacks)
+which gives exact reconstruction.  A lane with a record that lacks
+either key is rejected with a :class:`ValueError` naming the lane and
+the span, rather than rebuilt into a guessed tree.
 
 Terminology:
 
@@ -89,41 +88,14 @@ def _build_lane_exact(records, origin):
     return roots
 
 
-def _build_lane_intervals(records, origin):
-    """Fallback: infer the tree from time containment (legacy records).
-
-    Spans on one thread nest strictly, so sorting by
-    ``(ts_ns, -dur_ns)`` visits parents before their children and a
-    stack of still-open intervals recovers the hierarchy.  ``depth``
-    (always recorded) breaks the tie when a zero-duration child starts
-    exactly with its parent.
-    """
-    nodes = [(SpanNode(rec, origin), int(rec.get("depth", 0)))
-             for rec in records]
-    nodes.sort(key=lambda pair: (pair[0].ts_ns, -pair[0].dur_ns, pair[1]))
-    roots, stack = [], []          # stack: (node, depth) of open spans
-    for node, depth in nodes:
-        while stack and not (stack[-1][0].ts_ns <= node.ts_ns
-                             and node.end_ns <= stack[-1][0].end_ns
-                             and depth > stack[-1][1]):
-            stack.pop()
-        if stack:
-            stack[-1][0].children.append(node)
-        else:
-            roots.append(node)
-        stack.append((node, depth))
-    return roots
-
-
 def build_span_trees(payload):
     """Rebuild the span forest of a telemetry payload.
 
     Accepts a collector, a live payload dict, or a
     :func:`repro.telemetry.export.read_jsonl` round-trip.  Returns the
     list of root :class:`SpanNode`, ordered by lane then start time.
-    Lanes whose records all carry ``id``/``parent`` links (current
-    recorder) rebuild exactly; lanes with any legacy record use
-    interval inference.
+    Raises :class:`ValueError` for a record without ``id``/``parent``
+    links.
     """
     if hasattr(payload, "payload"):
         payload = payload.payload()
@@ -134,12 +106,13 @@ def build_span_trees(payload):
     roots = []
     for key in sorted(lanes):
         records = lanes[key]
-        origin = key[0]
-        if all(rec.get("id") is not None and "parent" in rec
-               for rec in records):
-            roots.extend(_build_lane_exact(records, origin))
-        else:
-            roots.extend(_build_lane_intervals(records, origin))
+        for rec in records:
+            if rec.get("id") is None or "parent" not in rec:
+                raise ValueError(
+                    f"span {rec.get('name', '?')!r} in lane {key} has no "
+                    f"id/parent link; span trees need records from the "
+                    f"current telemetry recorder")
+        roots.extend(_build_lane_exact(records, key[0]))
     return roots
 
 

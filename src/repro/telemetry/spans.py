@@ -16,9 +16,7 @@ Each record also carries an ``id`` (unique within the recorder) and
 the ``parent`` id of the enclosing span on the same thread (``None``
 for a root).  The ids come from a per-thread *open-span stack*, so the
 call tree is recorded exactly — ``repro.obs`` rebuilds it without
-interval or depth inference.  Records from before this field existed
-(no ``parent`` key) still load everywhere; the tree builder falls back
-to interval nesting for them.
+interval or depth inference, and rejects records that lack the links.
 """
 
 from __future__ import annotations

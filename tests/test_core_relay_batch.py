@@ -5,7 +5,10 @@ import pytest
 
 from repro.channel import PropagationModel, fig1_home
 from repro.core import FastForwardRelay
-from repro.netsim.experiments import _block_rows, siso_gains_experiment
+from repro.netsim.experiments import (
+    latency_sweep_experiment,
+    siso_gains_experiment,
+)
 from repro.phy.params import WIFI_20MHZ
 from repro.utils import make_rng
 
@@ -71,21 +74,33 @@ class TestProcessBatch:
                                                      dtype=complex)])
 
 
+#: Each runner with a small sweep and the output keys it must keep.
+_BLOCK_RUNNERS = {
+    "siso": (siso_gains_experiment, {"num_clients": 6, "seed": 3},
+             ("ap_only", "half_duplex", "fastforward")),
+    "latency": (latency_sweep_experiment,
+                {"latencies_ns": (100, 300, 500), "num_clients": 8,
+                 "seed": 3},
+                ("latency_ns", "median_gain")),
+}
+
+
 class TestClientBlocks:
-    def test_blocked_experiment_bit_identical(self):
-        base = siso_gains_experiment(num_clients=6, seed=3)
-        blocked = siso_gains_experiment(num_clients=6, seed=3,
-                                        block_size=4)
-        for key in ("ap_only", "half_duplex", "fastforward"):
-            assert np.array_equal(base[key], blocked[key])
+    """``block_size`` sets clients per dispatched chunk, nothing else."""
 
-    def test_env_block_size(self, monkeypatch):
-        base = siso_gains_experiment(num_clients=4, seed=5)
-        monkeypatch.setenv("REPRO_BLOCK", "3")
-        blocked = siso_gains_experiment(num_clients=4, seed=5)
-        for key in ("ap_only", "half_duplex", "fastforward"):
-            assert np.array_equal(base[key], blocked[key])
+    @pytest.fixture(scope="class")
+    def references(self):
+        return {name: runner(jobs=1, cache=False, **kwargs)
+                for name, (runner, kwargs, _) in _BLOCK_RUNNERS.items()}
 
-    def test_block_rows_flattens_preserving_order(self):
-        rows = _block_rows([[1, 2], [3], 4, [5, 6]])
-        assert rows == [1, 2, 3, 4, 5, 6]
+    @pytest.mark.parametrize("backend", ["serial", "thread"])
+    @pytest.mark.parametrize("block_size", [None, 1, 4])
+    @pytest.mark.parametrize("name", sorted(_BLOCK_RUNNERS))
+    def test_blocked_experiment_bit_identical(self, references, name,
+                                              block_size, backend):
+        runner, kwargs, keys = _BLOCK_RUNNERS[name]
+        jobs = 1 if backend == "serial" else 2
+        out = runner(jobs=jobs, backend=backend, cache=False,
+                     block_size=block_size, **kwargs)
+        for key in keys:
+            assert np.array_equal(references[name][key], out[key])

@@ -32,6 +32,21 @@ def _boom(x):
     return {"x": x}
 
 
+class _TaskOneError(Exception):
+    """Raised by task 1 of the ``test.exec.fail-one`` sweep."""
+
+
+_FAIL_ONE_RAN = []
+
+
+@task_fn("test.exec.fail-one", version="1")
+def _fail_one(x, bad=1):
+    _FAIL_ONE_RAN.append(x)
+    if x == bad:
+        raise _TaskOneError(f"task {x} refused")
+    return {"x": x}
+
+
 def _squares(n):
     return [Task("test.exec.square", {"x": i}) for i in range(n)]
 
@@ -99,6 +114,42 @@ class TestErrors:
                       jobs=1, cache=cache)
         # The three good tasks were stored before the failure surfaced.
         assert cache.stats.stores == 3
+
+
+    def test_serial_raises_first_failure_and_stops(self, tmp_path):
+        cache = ResultCache(tmp_path / "c")
+        tasks = [Task("test.exec.fail-one", {"x": i}) for i in range(5)]
+        _FAIL_ONE_RAN.clear()
+        with pytest.raises(_TaskOneError, match="task 1 refused"):
+            run_sweep(tasks, jobs=1, backend="serial", cache=cache)
+        assert _FAIL_ONE_RAN == [0, 1]          # tasks 2-4 never ran
+        assert cache.stats.stores == 1
+        assert cache.get(tasks[0].cache_key()) == {"x": 0}
+
+    def test_auto_chunk_probe_failure_raises(self):
+        tasks = [Task("test.exec.fail-one", {"x": i, "bad": 0})
+                 for i in range(6)]
+        _FAIL_ONE_RAN.clear()
+        with pytest.raises(_TaskOneError, match="task 0 refused"):
+            run_sweep(tasks, jobs=2, backend="thread", cache=False,
+                      chunk_size="auto")
+        assert _FAIL_ONE_RAN == [0]             # the probe ran once
+
+
+class TestStatsBackend:
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_single_pending_task_reports_serial(self, backend):
+        out = run_sweep(_squares(1), jobs=2, backend=backend, cache=False)
+        assert out.stats.backend == "serial"
+        assert "backend=serial" in out.stats.summary()
+
+    def test_warm_cache_reports_serial(self, tmp_path):
+        cache = ResultCache(tmp_path / "c")
+        cold = run_sweep(_squares(4), jobs=2, backend="thread", cache=cache)
+        warm = run_sweep(_squares(4), jobs=2, backend="thread", cache=cache)
+        assert cold.stats.backend == "thread"
+        assert warm.stats.executed == 0
+        assert warm.stats.backend == "serial"
 
 
 class TestCacheWiring:

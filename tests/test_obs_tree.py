@@ -78,27 +78,16 @@ class TestExactBuild:
             a.dur_ns - sum(c.dur_ns for c in a.children), 0)
 
 
-class TestLegacyFallback:
-    @staticmethod
-    def _strip(payload):
+class TestMissingLinks:
+    def test_jsonl_without_links_names_lane_and_span(self, tmp_path):
+        payload = _record_forest(TelemetryCollector(origin="old"))
         for rec in payload["spans"]:
             rec.pop("id", None)
             rec.pop("parent", None)
-        return payload
-
-    def test_interval_inference_matches_exact_build(self):
-        payload = _record_forest(TelemetryCollector())
-        exact = _shape(build_span_trees(payload))
-        legacy = _shape(build_span_trees(self._strip(payload)))
-        assert legacy == exact
-
-    def test_old_jsonl_round_trip_still_builds(self, tmp_path):
-        payload = self._strip(_record_forest(TelemetryCollector()))
-        path = tmp_path / "legacy.jsonl"
+        path = tmp_path / "unlinked.jsonl"
         write_jsonl(payload, path)
-        roots = build_span_trees(read_jsonl(path))
-        assert _shape(roots) == [("a", 2), ("b", 0), ("c", 1), ("d", 0),
-                                 ("e", 0)]
+        with pytest.raises(ValueError, match=r"span 'b' in lane \('old'"):
+            build_span_trees(read_jsonl(path))
 
 
 class TestCollapsedStacks:
@@ -188,13 +177,3 @@ class TestNestingProperty:
                     assert node.ts_ns <= child.ts_ns
                     assert child.end_ns <= node.end_ns
         assert seen == len(payload["spans"])
-
-    @given(ops=st.lists(st.booleans(), max_size=40))
-    @settings(max_examples=60, deadline=None)
-    def test_interval_fallback_matches_exact_links(self, ops):
-        payload = self._drive(ops)
-        exact = _shape(build_span_trees(payload))
-        for rec in payload["spans"]:
-            rec.pop("id", None)
-            rec.pop("parent", None)
-        assert _shape(build_span_trees(payload)) == exact
