@@ -249,12 +249,7 @@ def last_sweep_stats():
 
 
 def _portable_error(exc):
-    """``exc`` if it survives pickling, else a summarising RuntimeError.
-
-    Captured outcomes cross the process boundary inside the chunk
-    result; an unpicklable exception there would poison the whole
-    chunk, so it is swapped for a plain carrier up front.
-    """
+    """``exc`` if it survives pickling, else a summarising RuntimeError."""
     try:
         pickle.loads(pickle.dumps(exc, pickle.HIGHEST_PROTOCOL))
         return exc
@@ -285,7 +280,7 @@ def _run_item(item, chaos=None):
             return index, ("ok", fn(**params))
         return index, ("ok", fn(**params, rng=np.random.default_rng(seed)))
     except Exception as exc:
-        return index, ("err", _portable_error(exc))
+        return index, ("err", exc)
 
 
 def _run_chunk(items, collect=False, shard=None, packed=False, chaos=None):
@@ -331,6 +326,20 @@ def _run_chunk(items, collect=False, shard=None, packed=False, chaos=None):
             collector.histogram("exec.task.wall_ns", unit="ns",
                                 fn=fn_name).observe(wall_s * NS_PER_S)
     return out, collector.payload()
+
+
+def _run_chunk_in_process(*args):
+    """:func:`_run_chunk` for a process worker.
+
+    The outcomes cross the process boundary in the chunk result; an
+    unpicklable exception there would poison the whole chunk, so each
+    one is swapped for a plain carrier first.  Inline and thread
+    chunks keep the task's own exception.
+    """
+    outcomes, payload = _run_chunk(*args)
+    return [(index, ("err", _portable_error(value)) if tag == "err"
+             else (tag, value))
+            for index, (tag, value) in outcomes], payload
 
 
 def _record_sweep_telemetry(tel, stats, cache):
@@ -555,7 +564,9 @@ class _Dispatcher:
                     unit="layout").observe(len(pickle.dumps(
                         chunk, pickle.HIGHEST_PROTOCOL)))
             try:
-                future = pool.submit(_run_chunk, chunk, self.collect, shard,
+                run = (_run_chunk_in_process if self.backend == "process"
+                       else _run_chunk)
+                future = pool.submit(run, chunk, self.collect, shard,
                                      self.packed, self.chaos)
             except (BrokenExecutor, RuntimeError):
                 # The pool broke between harvests; the break handler

@@ -20,7 +20,8 @@ Every sweep runner takes ``**engine`` and forwards it to
 ``quarantine``, ``chaos`` and ``retry_policy`` (``None`` defers to the
 ``REPRO_*`` environment defaults; see :mod:`repro.exec.executor` and
 :mod:`repro.exec.recovery`).  ``block_size`` is the netsim name for
-``chunk_size``: clients per dispatched chunk.  Every client is its own
+``chunk_size``: clients per dispatched chunk (give one or the
+other, not both).  Every client is its own
 task whatever the chunk layout, so results and cache keys never
 depend on it.  Runners that run more than one sweep give each phase
 its own manifest, ``<checkpoint>.<phase>``.
@@ -107,11 +108,15 @@ def _split_rows(rows, n):
 def _engine(engine, phase=None):
     """A runner's ``**engine`` as :func:`run_sweep` keywords.
 
-    ``block_size`` becomes ``chunk_size``; ``phase`` suffixes the
-    checkpoint of a runner that runs more than one sweep.
+    ``block_size`` becomes ``chunk_size`` (giving both is a
+    ``TypeError``); ``phase`` suffixes the checkpoint of a runner that
+    runs more than one sweep.
     """
     engine = dict(engine)
-    engine.setdefault("chunk_size", engine.pop("block_size", None))
+    if "block_size" in engine:
+        if "chunk_size" in engine:
+            raise TypeError("give block_size or chunk_size, not both")
+        engine["chunk_size"] = engine.pop("block_size")
     if phase is not None and engine.get("checkpoint") is not None:
         engine["checkpoint"] = f"{engine['checkpoint']}.{phase}"
     return engine

@@ -104,3 +104,8 @@ class TestClientBlocks:
                      block_size=block_size, **kwargs)
         for key in keys:
             assert np.array_equal(references[name][key], out[key])
+
+    def test_block_size_and_chunk_size_together_rejected(self):
+        with pytest.raises(TypeError, match="not both"):
+            siso_gains_experiment(num_clients=2, seed=3, jobs=1, cache=False,
+                                  block_size=2, chunk_size=None)

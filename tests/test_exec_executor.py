@@ -36,7 +36,22 @@ class _TaskOneError(Exception):
     """Raised by task 1 of the ``test.exec.fail-one`` sweep."""
 
 
+class _TwoArgError(Exception):
+    """An exception pickle cannot rebuild from its args."""
+
+    def __init__(self, stage, reason):
+        super().__init__(f"{stage}: {reason}")
+        self.stage = stage
+
+
 _FAIL_ONE_RAN = []
+
+
+@task_fn("test.exec.two-arg-error", version="1")
+def _two_arg_error(x):
+    if x == 1:
+        raise _TwoArgError("stage", f"task {x} refused")
+    return {"x": x}
 
 
 @task_fn("test.exec.fail-one", version="1")
@@ -115,7 +130,6 @@ class TestErrors:
         # The three good tasks were stored before the failure surfaced.
         assert cache.stats.stores == 3
 
-
     def test_serial_raises_first_failure_and_stops(self, tmp_path):
         cache = ResultCache(tmp_path / "c")
         tasks = [Task("test.exec.fail-one", {"x": i}) for i in range(5)]
@@ -134,6 +148,20 @@ class TestErrors:
             run_sweep(tasks, jobs=2, backend="thread", cache=False,
                       chunk_size="auto")
         assert _FAIL_ONE_RAN == [0]             # the probe ran once
+
+
+    @pytest.mark.parametrize("jobs,backend", [(1, "serial"), (2, "thread")])
+    def test_in_process_error_keeps_its_type(self, jobs, backend):
+        tasks = [Task("test.exec.two-arg-error", {"x": i}) for i in range(4)]
+        with pytest.raises(_TwoArgError, match="stage: task 1 refused") as ei:
+            run_sweep(tasks, jobs=jobs, backend=backend, cache=False)
+        assert ei.value.stage == "stage"
+
+    def test_process_error_unpicklable_becomes_carrier(self):
+        tasks = [Task("test.exec.two-arg-error", {"x": i}) for i in range(4)]
+        with pytest.raises(RuntimeError,
+                           match="_TwoArgError: stage: task 1 refused"):
+            run_sweep(tasks, jobs=2, backend="process", cache=False)
 
 
 class TestStatsBackend:
