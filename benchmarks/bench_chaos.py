@@ -30,12 +30,12 @@ Usage::
 import argparse
 import json
 import os
-import platform
 import sys
 import time
 
 import numpy as np
 
+from harness import machine
 from repro.exec import ChaosPolicy, RetryPolicy, run_sweep
 from repro.netsim.experiments import _client_tasks, paper_scenarios
 
@@ -132,8 +132,7 @@ def run(args):
             "degraded_to": chaotic.stats.degraded_to,
         },
         "gates_failed": failures,
-        "machine": {"python": platform.python_version(),
-                    "cpus": os.cpu_count()},
+        "machine": machine(),
     }
     return record, failures, overhead
 

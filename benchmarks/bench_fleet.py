@@ -29,13 +29,13 @@ Usage::
 import argparse
 import json
 import os
-import platform
 import shutil
 import tempfile
 import time
 
 import numpy as np
 
+from harness import machine
 from repro.fleet import fleet_experiment
 
 COMPARE_KEYS = ("throughput_mbps", "reroute_latency_intervals", "rescued",
@@ -129,8 +129,7 @@ def run(args):
         "throughput_cdf": serial["throughput_cdf"],
         "latency_cdf": serial["latency_cdf"],
         "gates_failed": failures,
-        "machine": {"python": platform.python_version(),
-                    "cpus": os.cpu_count()},
+        "machine": machine(),
     }
     return record, failures
 

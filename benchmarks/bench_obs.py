@@ -27,25 +27,17 @@ Usage::
 import argparse
 import json
 import os
-import platform
 import sys
 import tempfile
 import time
 
+from harness import machine
 from repro.netsim.experiments import overall_gains_experiment
 from repro.obs import diff_metrics, profile_payload
 from repro.obs.diff import flatten_bench
 from repro.obs.flamegraph import write_flamegraph_html
 from repro.service import ServeConfig, run_once
 from repro.telemetry import TelemetryCollector, use_collector
-
-
-def available_cpus():
-    """CPUs this process may actually run on (affinity-aware)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except (AttributeError, OSError):
-        return os.cpu_count() or 1
 
 
 def run_profile(clients, jobs, seed, backend, flamegraph_path):
@@ -60,7 +52,8 @@ def run_profile(clients, jobs, seed, backend, flamegraph_path):
     sweep_s = time.perf_counter() - start
 
     start = time.perf_counter()
-    report = profile_payload(tel.payload(), cpus=available_cpus())
+    report = profile_payload(tel.payload(),
+                             cpus=machine()["available_cpus"])
     if flamegraph_path:
         os.makedirs(os.path.dirname(os.path.abspath(flamegraph_path)),
                     exist_ok=True)
@@ -162,9 +155,7 @@ def main(argv=None):
     record = {
         "profile": run_profile(args.clients, args.jobs, args.seed,
                                args.backend, args.flamegraph),
-        "machine": {"python": platform.python_version(),
-                    "cpus": os.cpu_count(),
-                    "available_cpus": available_cpus()},
+        "machine": machine(),
         "config": {"clients": args.clients, "jobs": args.jobs,
                    "seed": args.seed, "backend": args.backend},
     }

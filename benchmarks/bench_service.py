@@ -34,19 +34,11 @@ Usage::
 import argparse
 import json
 import os
-import platform
 import sys
 import time
 
+from harness import machine
 from repro.service import LoadTestConfig, run_loadtest
-
-
-def available_cpus():
-    """CPUs this process may actually run on (affinity-aware)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except (AttributeError, OSError):
-        return os.cpu_count() or 1
 
 
 def _run(label, config):
@@ -62,10 +54,10 @@ def _run(label, config):
 
 
 def run(sessions, tenants, seed, duration, rate, capacity, storm_rate):
-    cpus = available_cpus()
+    host = machine()
     print(f"service benchmark: {sessions} sessions / {tenants} tenants, "
           f"{rate:.0f} fps for {duration:.1f} s virtual, capacity "
-          f"{capacity}/tick, cpus available={cpus}")
+          f"{capacity}/tick, cpus available={host['available_cpus']}")
 
     saturated, wall_sat = _run("saturated", LoadTestConfig.saturating(
         sessions=sessions, tenants=tenants, seed=seed, rate_fps=rate,
@@ -81,9 +73,7 @@ def run(sessions, tenants, seed, duration, rate, capacity, storm_rate):
                           "wall_s": round(wall_sat, 3)},
             "storm": {**storm.as_dict(), "wall_s": round(wall_storm, 3)},
         },
-        "machine": {"python": platform.python_version(),
-                    "cpus": os.cpu_count(),
-                    "available_cpus": cpus},
+        "machine": host,
     }
 
 
@@ -131,52 +121,59 @@ def main(argv=None):
         if not passed:
             failures.append(f"{name}: {message}")
 
+    declared = {"queue-full", "half-duplex", "drain"}
     for label, scenario in (("saturated", saturated), ("storm", storm)):
+        frames = scenario["frames"]
         gate(f"conservation-{label}", scenario["conserved"],
-             f"admitted == processed + shed must hold ({label})")
+             f"{'conserved' if scenario['conserved'] else 'not conserved'}"
+             f": {frames['admitted']} admitted, {frames['processed']} "
+             f"processed, {frames['shed']} shed (need admitted == "
+             f"processed + shed; {label})")
         gate(f"determinism-{label}", scenario["deterministic"],
-             f"same-seed event digests must match ({label})")
+             f"same-seed event digests "
+             f"{'match' if scenario['deterministic'] else 'differ'} "
+             f"(need match; {label})")
         shed_reasons = set(scenario["shed_reasons"])
-        gate(f"declared-shed-{label}",
-             shed_reasons <= {"queue-full", "half-duplex", "drain"},
-             f"undeclared shed reasons {sorted(shed_reasons)} ({label})")
+        gate(f"declared-shed-{label}", shed_reasons <= declared,
+             f"shed reasons {sorted(shed_reasons)} (need a subset of "
+             f"{sorted(declared)}; {label})")
     gate("sessions-closed",
          saturated["sessions"]["closed"]
          == saturated["config"]["sessions"],
          f"{saturated['sessions']['closed']} of "
-         f"{saturated['config']['sessions']} sessions closed")
+         f"{saturated['config']['sessions']} sessions closed (need all)")
     gate("overloaded",
          saturated["frames"]["shed_rate"] >= args.min_shed_rate,
-         f"shed rate {saturated['frames']['shed_rate']:.1%} < "
-         f"{args.min_shed_rate:.0%} — the scenario did not saturate")
+         f"shed rate {saturated['frames']['shed_rate']:.1%} "
+         f"(need ≥ {args.min_shed_rate:.0%}, a real overload)")
     deviation = saturated["fairness"]["max_deviation"]
     gate("fairness", deviation <= args.max_fairness_deviation,
-         f"max tenant deviation {deviation:.1%} > "
-         f"{args.max_fairness_deviation:.0%} of fair share")
+         f"max tenant deviation {deviation:.1%} of fair share "
+         f"(need ≤ {args.max_fairness_deviation:.0%})")
     p99 = saturated["latency"].get("process", {}).get("p99_ms")
+    p99_text = "unmeasured" if p99 is None else f"{p99:.2f} ms"
     gate("p99-latency", p99 is not None and p99 <= args.max_p99_ms,
-         f"p99 process latency {p99} ms > {args.max_p99_ms} ms "
-         f"(wall-clock: see machine.available_cpus)")
+         f"p99 process latency {p99_text} (need ≤ {args.max_p99_ms} ms; "
+         f"wall-clock: see machine.available_cpus)")
+    ladder = storm["supervisor"]
     gate("storm-ladder",
-         storm["supervisor"]["si_jumps"] > 0
-         and storm["supervisor"]["mutes"] > 0
-         and storm["supervisor"]["recoveries"] > 0,
-         f"storm scenario showed {storm['supervisor']['si_jumps']} jumps,"
-         f" {storm['supervisor']['mutes']} mutes, "
-         f"{storm['supervisor']['recoveries']} recoveries — ladder "
-         f"must mute and recover")
+         ladder["si_jumps"] > 0 and ladder["mutes"] > 0
+         and ladder["recoveries"] > 0,
+         f"storm scenario showed {ladder['si_jumps']} jumps, "
+         f"{ladder['mutes']} mutes, {ladder['recoveries']} recoveries "
+         f"(need ≥ 1 of each: the ladder must mute and recover)")
     gate("storm-service-up",
          storm["sessions"]["closed"] == storm["config"]["sessions"],
          f"{storm['sessions']['closed']} of "
-         f"{storm['config']['sessions']} sessions closed under storms")
+         f"{storm['config']['sessions']} sessions closed under storms "
+         f"(need all)")
 
     with open(args.out, "w") as fh:
         json.dump(record, fh, indent=2, sort_keys=True)
         fh.write("\n")
     print(f"  wrote {args.out}")
     print(f"  fairness deviation {deviation:.1%}, p99 process "
-          f"{p99 if p99 is not None else '-'} ms, storm mutes "
-          f"{storm['supervisor']['mutes']}")
+          f"{p99_text}, storm mutes {ladder['mutes']}")
 
     for failure in failures:
         print(f"FAIL: {failure}")

@@ -28,25 +28,17 @@ Usage::
 import argparse
 import json
 import os
-import platform
 import sys
 import tempfile
 import time
 
 import numpy as np
 
+from harness import machine
 from repro.exec import ResultCache, last_sweep_stats
 from repro.netsim.experiments import overall_gains_experiment
 
 ARRAY_KEYS = ("ap_only", "half_duplex", "fastforward")
-
-
-def available_cpus():
-    """CPUs this process may actually run on (affinity-aware)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except (AttributeError, OSError):
-        return os.cpu_count() or 1
 
 
 def _timed(label, fn):
@@ -59,10 +51,11 @@ def _timed(label, fn):
 
 
 def run(clients, jobs, seed, backend, block):
-    cpus = available_cpus()
+    host = machine()
     print(f"sweep benchmark: overall_gains_experiment("
           f"num_clients={clients}, seed={seed}), jobs={jobs}, "
-          f"backend={backend}, block={block}, cpus available={cpus}")
+          f"backend={backend}, block={block}, "
+          f"cpus available={host['available_cpus']}")
     with tempfile.TemporaryDirectory() as tmp:
         cache = ResultCache(os.path.join(tmp, "cache"))
         serial_s, serial = _timed(
@@ -99,13 +92,10 @@ def run(clients, jobs, seed, backend, block):
         "warm_cache_speedup": round(serial_s / warm_s, 2),
         "dispatch": {
             "chunk_size": parallel_stats.chunk_size if parallel_stats else None,
-            "shm_bytes": parallel_stats.shm_bytes if parallel_stats else 0,
         },
         "cache": {"hits": cache_stats.hits, "misses": cache_stats.misses,
                   "stores": cache_stats.stores},
-        "machine": {"python": platform.python_version(),
-                    "cpus": os.cpu_count(),
-                    "available_cpus": cpus},
+        "machine": host,
     }
 
 
@@ -113,7 +103,7 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--clients", type=int, default=60)
     parser.add_argument("--jobs", type=int,
-                        default=min(4, max(available_cpus(), 1)))
+                        default=min(4, machine()["available_cpus"]))
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--backend", default="process",
                         choices=("thread", "process"))

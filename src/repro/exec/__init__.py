@@ -42,7 +42,6 @@ from repro.exec.recovery import (
     WorkerCrashError,
     next_backend,
 )
-from repro.exec.shm import ShmArena, ShmSlice, reap_orphans
 from repro.exec.hashing import canonicalize, digest
 from repro.exec.manifest import SweepManifest, sweep_id
 from repro.exec.task import (
@@ -66,8 +65,6 @@ __all__ = [
     "ResultCache",
     "ResultCacheStats",
     "RetryPolicy",
-    "ShmArena",
-    "ShmSlice",
     "SweepManifest",
     "SweepResult",
     "SweepStats",
@@ -81,7 +78,6 @@ __all__ = [
     "digest",
     "last_sweep_stats",
     "next_backend",
-    "reap_orphans",
     "registered_task_fns",
     "resolve_cache",
     "resolve_task_fn",

@@ -27,8 +27,7 @@ Worker-side injections (travel to workers inside the picklable
 Storage-side helpers (called on the parent's filesystem, between
 runs): :func:`corrupt_cache_entries` tears ``.npz`` cache entries,
 :func:`truncate_manifest` cuts a checkpoint's trailing JSONL line
-mid-write, and :func:`plant_orphan_segment` fakes the shared-memory
-litter a SIGKILLed run leaves in ``/dev/shm``.
+mid-write.
 """
 
 from __future__ import annotations
@@ -222,36 +221,3 @@ def truncate_manifest(path, keep_fraction=0.5):
     path.write_bytes(torn)
     return len(raw) - len(torn)
 
-
-def plant_orphan_segment(nbytes=64, pid=None, age_s=0.0):
-    """Leave a shared-memory segment as a SIGKILLed run would.
-
-    Writes the file straight into ``/dev/shm`` (bypassing the resource
-    tracker — a killed run's tracker is dead too) under
-    :mod:`repro.exec.shm`'s naming scheme with the given ``pid``
-    (default: a spawned-and-exited child, so the owner is genuinely
-    dead).  ``age_s`` backdates the mtime for age-gate tests.  Returns
-    the segment name.
-    """
-    from repro.exec import shm as shm_transport
-
-    if pid is None:
-        pid = _spawn_dead_pid()
-    name = shm_transport.orphan_segment_name(pid)
-    path = os.path.join(shm_transport.SHM_DIR, name)
-    with open(path, "wb") as fh:
-        fh.write(b"\x00" * int(nbytes))
-    if age_s:
-        stamp = time.time() - float(age_s)
-        os.utime(path, (stamp, stamp))
-    return name
-
-
-def _spawn_dead_pid():
-    """The pid of a child that has already exited (guaranteed dead)."""
-    import subprocess
-    import sys
-
-    child = subprocess.Popen([sys.executable, "-c", "pass"])
-    child.wait()
-    return child.pid

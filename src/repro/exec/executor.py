@@ -23,22 +23,16 @@ signature churn):
                             ``process``)
 ``REPRO_CACHE``             default cache dir; ``0``/``off`` disables,
                             ``1`` uses ``.repro-cache/``
-``REPRO_SHM``               ``0``/``off`` disables shared-memory
-                            dispatch (see :mod:`repro.exec.shm`)
-``REPRO_SHM_MIN_BYTES``     size floor below which param arrays stay
-                            pickled
 ``REPRO_MAX_RETRIES``       default per-task retry budget
 ``REPRO_TASK_TIMEOUT``      default per-task deadline in seconds
 ==========================  ===========================================
 
-On the process backend, parameter ndarrays are moved into one shared
-memory segment before dispatch (:mod:`repro.exec.shm`): chunks then
-pickle only lightweight descriptors, and workers map the segment once.
-``chunk_size="auto"`` measures the first task inline and sizes chunks
-to ~:data:`AUTO_CHUNK_TARGET_S` of compute each.  The
-``exec.dispatch.*`` telemetry family quantifies this dispatch overhead
-(pack/unpack time, payload and segment bytes, chosen chunk size)
-separately from task compute time (``exec.task.wall_ns``).
+On the process backend each chunk, params included, is pickled to its
+worker.  ``chunk_size="auto"`` measures the first task inline and
+sizes chunks to ~:data:`AUTO_CHUNK_TARGET_S` of compute each.  The
+``exec.dispatch.*`` telemetry family records that dispatch (pickled
+payload bytes, chosen chunk size) separately from task compute time
+(``exec.task.wall_ns``).
 
 Fault tolerance (:mod:`repro.exec.recovery`) is layered on top:
 ``max_retries`` / ``task_timeout`` enable bounded retry with seeded
@@ -77,7 +71,6 @@ from typing import List, Optional
 import numpy as np
 
 from repro.exec import chaos as chaos_injection
-from repro.exec import shm as shm_transport
 from repro.exec.cache import DEFAULT_CACHE_DIR, ResultCache
 from repro.exec.manifest import SweepManifest
 from repro.exec.recovery import FailureLedger, RetryPolicy, next_backend
@@ -166,7 +159,6 @@ class SweepStats:
     backend: str = "serial"
     wall_s: float = 0.0
     chunk_size: Optional[int] = None
-    shm_bytes: int = 0
     # -- fault tolerance ----------------------------------------------------
     retries: int = 0              # failed attempts re-dispatched
     timeouts: int = 0             # deadline expiries observed
@@ -174,7 +166,6 @@ class SweepStats:
     respawns: int = 0             # pools replaced (breaks + stuck kills)
     quarantined: int = 0          # tasks given up on (TaskFailure records)
     chunk_splits: int = 0         # lost chunks halved to isolate a culprit
-    orphans_reclaimed: int = 0    # dead runs' shm segments swept at start
     degraded_to: Optional[str] = None   # final ladder rung, if demoted
     interrupted: bool = False     # Ctrl-C landed; finished work salvaged
     cache: Optional[object] = field(default=None, repr=False)
@@ -188,8 +179,6 @@ class SweepStats:
         parts.append(f"backend={self.backend} jobs={self.jobs}")
         if self.chunk_size is not None:
             parts.append(f"chunk={self.chunk_size}")
-        if self.shm_bytes:
-            parts.append(f"shm={self.shm_bytes}B")
         if self.retries:
             parts.append(f"{self.retries} retries")
         if self.timeouts:
@@ -283,16 +272,11 @@ def _run_item(item, chaos=None):
         return index, ("err", exc)
 
 
-def _run_chunk(items, collect=False, shard=None, packed=False, chaos=None):
+def _run_chunk(items, collect=False, shard=None, chaos=None):
     """Execute one chunk; returns ``(outcomes, telemetry_payload)``.
 
     Runs in a worker (thread or process) or inline in the parent.  Each
-    outcome is a tagged pair from :func:`_run_item`.  When ``packed`` is
-    set the item params carry :class:`~repro.exec.shm.ShmSlice`
-    descriptors and are hydrated into read-only shared-memory views
-    first; the hydration cost is recorded as ``exec.dispatch.unpack_ns``
-    per shard, so serialization overhead is separable from task compute
-    (``exec.task.wall_ns``).
+    outcome is a tagged pair from :func:`_run_item`.
 
     When ``collect`` is set the chunk gets its own
     :class:`~repro.telemetry.TelemetryCollector`, installed
@@ -301,22 +285,12 @@ def _run_chunk(items, collect=False, shard=None, packed=False, chaos=None):
     The payload (a plain dict — it crosses the process boundary) is
     merged back in the parent in deterministic task order.
     """
-    unpack_s = 0.0
-    if packed:
-        start = time.perf_counter()
-        items = [(index, module, fn_name, shm_transport.hydrate(params),
-                  seed, attempt)
-                 for index, module, fn_name, params, seed, attempt in items]
-        unpack_s = time.perf_counter() - start
     if not collect:
         return [_run_item(item, chaos) for item in items], None
     collector = TelemetryCollector(origin=f"shard-{shard}")
     out = []
     with use_collector(collector), \
             collector.span("exec.shard", shard=shard, tasks=len(items)):
-        if packed:
-            collector.histogram("exec.dispatch.unpack_ns", unit="ns",
-                                shard=shard).observe(unpack_s * NS_PER_S)
         for item in items:
             fn_name = item[2]
             pair, wall_s = timed_call(_run_item, item, chaos)
@@ -419,7 +393,6 @@ class _Dispatcher:
         self.chaos = chaos
         self.tel = tel
         self.collect = collect
-        self.packed = False
         self.stats = stats
         self._complete = complete
         self._quarantine_cb = quarantine
@@ -446,17 +419,12 @@ class _Dispatcher:
         to task order.
         """
         result, wall_s = timed_call(_run_chunk, [item], self.collect,
-                                    "probe", False, self.chaos)
+                                    "probe", self.chaos)
         self._harvest(-1, [item], result)
         return wall_s
 
-    def run(self, chunks, packed=False):
-        """Dispatch ``chunks`` to completion (or first fatal error).
-
-        ``packed`` marks chunks whose params are shared-memory
-        descriptors (:mod:`repro.exec.shm`).
-        """
-        self.packed = packed
+    def run(self, chunks):
+        """Dispatch ``chunks`` to completion (or first fatal error)."""
         self.queue.extend(chunks)
         try:
             while self.queue or self.delayed or self.inflight:
@@ -567,7 +535,7 @@ class _Dispatcher:
                 run = (_run_chunk_in_process if self.backend == "process"
                        else _run_chunk)
                 future = pool.submit(run, chunk, self.collect, shard,
-                                     self.packed, self.chaos)
+                                     self.chaos)
             except (BrokenExecutor, RuntimeError):
                 # The pool broke between harvests; the break handler
                 # requeues in-flight work and respawns or degrades.
@@ -791,8 +759,7 @@ class _Dispatcher:
         while self.queue and not self._fatal:
             chunk = self.queue.popleft()
             shard = next(self._shard)
-            result = _run_chunk(chunk, self.collect, shard, self.packed,
-                                self.chaos)
+            result = _run_chunk(chunk, self.collect, shard, self.chaos)
             self._harvest(shard, chunk, result)
 
 
@@ -862,17 +829,6 @@ def run_sweep(tasks, jobs=None, backend=None, cache=None, checkpoint=None,
     tel = current_collector()
     collect = tel.enabled
 
-    # Sweep-start hygiene: segments a SIGKILLed run left in /dev/shm
-    # are unlinked before this run creates its own (age-gated, dead
-    # owners only — see repro.exec.shm.reap_orphans).
-    try:
-        stats.orphans_reclaimed = shm_transport.reap_orphans()
-    except Exception:
-        stats.orphans_reclaimed = 0
-    if stats.orphans_reclaimed and collect:
-        tel.counter("exec.shm.orphans_reclaimed").inc(
-            stats.orphans_reclaimed)
-
     keys = None
     if cache is not None:
         keys = [task.cache_key() for task in tasks]
@@ -937,7 +893,6 @@ def run_sweep(tasks, jobs=None, backend=None, cache=None, checkpoint=None,
     stats.backend = backend
     dispatcher = _Dispatcher(backend, jobs, policy, chaos, tel, collect,
                              stats, _complete, _quarantine)
-    arena = None
 
     try:
         with tel.span("exec.sweep", backend=backend, jobs=jobs):
@@ -956,34 +911,12 @@ def run_sweep(tasks, jobs=None, backend=None, cache=None, checkpoint=None,
                     pending = pending[1:]
                 size = _resolve_chunk_size(len(pending), jobs, chunk_size)
                 stats.chunk_size = size
-                # Process workers get param ndarrays through one shared
-                # segment; chunks then pickle only descriptors.  Thread
-                # workers share the parent heap — nothing to pack.
-                if backend == "process" and shm_transport.enabled():
-                    (arena, packed_params), pack_s = timed_call(
-                        shm_transport.pack, [item[3] for item in pending])
-                    if arena is not None:
-                        pending = [
-                            (index, module, fn_name, params, seed, attempt)
-                            for (index, module, fn_name, _, seed, attempt),
-                            params in zip(pending, packed_params)]
-                        stats.shm_bytes = arena.nbytes
-                        tel.histogram("exec.dispatch.pack_ns",
-                                      unit="ns").observe(pack_s * NS_PER_S)
-                        tel.gauge("exec.dispatch.shm_bytes",
-                                  unit="layout").set(arena.nbytes)
-                        tel.gauge("exec.dispatch.shm_arrays",
-                                  unit="layout").set(arena.num_arrays)
                 chunks = _chunked(pending, size)
                 tel.gauge("exec.dispatch.chunk_size",
                           unit="layout").set(size)
             stats.chunks = len(chunks) + probed
-            dispatcher.run(chunks, packed=arena is not None)
+            dispatcher.run(chunks)
     finally:
-        if arena is not None:
-            # The pool has been shut down (workers drained or dead), so
-            # the parent's unlink is the last reference's cleanup.
-            arena.dispose()
         if manifest is not None:
             manifest.close()
         stats.wall_s = time.perf_counter() - start

@@ -1,27 +1,27 @@
 """Profile verdict: where a sweep's wall time actually goes.
 
-The ROADMAP's open perf item needs an argument, not a guess: the
-parallel sweep runs *below* break-even (``BENCH_sweep.json``), and the
-telemetry to explain it has been recorded since PR 4 — ``exec.sweep``
-/ ``exec.shard`` spans, ``exec.task.wall_ns`` per task,
-``exec.dispatch.pack_ns`` / ``unpack_ns`` for serialization, and
-``runtime.stage.wall_ns`` per PHY stage.  This module folds all of it
-into one attribution of the driver's measured wall time:
+A parallel sweep's speedup over serial (``BENCH_sweep.json``) is an
+argument only once its wall time is attributed.  The telemetry for
+that is ``exec.sweep`` / ``exec.shard`` spans, ``exec.task.wall_ns``
+per task and ``runtime.stage.wall_ns`` per PHY stage.  This module
+folds all of it into one attribution of the driver's measured wall
+time:
 
-* **driver pack** — shared-memory/pickle packing before dispatch;
+* **inline probe** — the ``chunk_size="auto"`` probe chunk the driver
+  runs itself before dispatch;
 * **worker busy** — the shard lanes' ``exec.shard`` spans, split into
-  task compute (``exec.task.wall_ns``), shard unpack, and the residual
-  per-chunk loop overhead;
+  task compute (``exec.task.wall_ns``) and the residual per-chunk loop
+  overhead;
 * **dispatch gap** — wall time no recorded span explains: process
   startup, pickle transport, future scheduling, result merge.  This is
-  the number that indicts the below-break-even parallel backend.
+  what a parallel backend pays on top of its workers.
 
 Worker lanes run concurrently, so lane time maps onto driver wall
 through an *estimated concurrency* — observed lane busy divided by the
-post-pack wall, clamped to ``[1, min(jobs, lanes)]``.  When the clamp
-binds at 1 (single-CPU machines) the gap is exactly the serial
-overhead the sweep added; when it binds at ``jobs`` the workers were
-saturated and the gap is transport.
+wall left after the inline probe, clamped to ``[1, min(jobs, lanes)]``.
+When the clamp binds at 1 (single-CPU machines) the gap is exactly the
+serial overhead the sweep added; when it binds at ``jobs`` the workers
+were saturated and the gap is transport.
 """
 
 from __future__ import annotations
@@ -95,15 +95,12 @@ class ProfileReport:
             f"sweep wall           : {self.wall_ns / ms:10.2f} ms "
             f"(backend={self.backend}, jobs={self.jobs}, "
             f"lanes={self.lanes})",
-            f"driver pack          : {a['pack_ns'] / ms:10.2f} ms "
-            f"({100 * a['pack_ns'] / wall:.1f}% of wall)",
             f"inline probe chunk   : {a['probe_ns'] / ms:10.2f} ms "
             f"({100 * a['probe_ns'] / wall:.1f}% of wall)",
             f"worker busy          : {a['worker_busy_ns'] / ms:10.2f} ms "
             f"(est. concurrency {self.concurrency:.2f}x)",
             f"  task compute       : {a['task_compute_ns'] / ms:10.2f} ms "
             f"({100 * a['task_compute_ns'] / busy:.1f}% of busy)",
-            f"  shard unpack       : {a['unpack_ns'] / ms:10.2f} ms",
             f"  shard loop overhead: {a['shard_overhead_ns'] / ms:10.2f} ms",
             f"dispatch gap         : {a['gap_ns'] / ms:10.2f} ms "
             f"({100 * a['gap_ns'] / wall:.1f}% of wall — pool startup, "
@@ -161,7 +158,7 @@ def _shard_lanes(roots):
 
     The auto-chunk probe chunk runs inline in the driver thread — its
     time is serial driver wall, not concurrent worker time, so it is
-    attributed like pack rather than divided by the concurrency
+    attributed whole rather than divided by the concurrency
     estimate.  Returns ``(workers, probes)``.
     """
     workers, probes = [], []
@@ -199,8 +196,6 @@ def profile_payload(payload, cpus=None):
     else:
         wall_ns, backend, jobs = 0.0, "?", 1
 
-    pack_ns = _hist_total(payload, "exec.dispatch.pack_ns")
-    unpack_ns = _hist_total(payload, "exec.dispatch.unpack_ns")
     task_compute_ns = _hist_total(payload, "exec.task.wall_ns")
     worker_busy_ns = float(sum(s.dur_ns for s in shards))
     probe_ns = float(sum(p.dur_ns for p in probes))
@@ -209,18 +204,16 @@ def profile_payload(payload, cpus=None):
     lane_cap = max(min(jobs, lanes) if lanes else 1, 1)
     if cpus is not None:
         lane_cap = max(min(lane_cap, int(cpus)), 1)
-    serial_ns = pack_ns + probe_ns      # driver-thread work inside wall
-    post_serial_wall = max(wall_ns - serial_ns, 1.0)
-    concurrency = worker_busy_ns / post_serial_wall if worker_busy_ns \
+    post_probe_wall = max(wall_ns - probe_ns, 1.0)
+    concurrency = worker_busy_ns / post_probe_wall if worker_busy_ns \
         else 1.0
     concurrency = min(max(concurrency, 1.0), float(lane_cap))
 
     worker_wall_ns = worker_busy_ns / concurrency if concurrency else 0.0
-    attributed_ns = min(serial_ns + worker_wall_ns, wall_ns)
+    attributed_ns = min(probe_ns + worker_wall_ns, wall_ns)
     gap_ns = max(wall_ns - attributed_ns, 0.0)
     coverage = attributed_ns / wall_ns if wall_ns else 0.0
-    shard_overhead_ns = max(
-        worker_busy_ns - task_compute_ns - unpack_ns, 0.0)
+    shard_overhead_ns = max(worker_busy_ns - task_compute_ns, 0.0)
 
     # Cross-shard critical path: the driver chain down to exec.sweep
     # (dispatch is synchronous, so the sweep bounds its ancestors),
@@ -247,9 +240,7 @@ def profile_payload(payload, cpus=None):
     return ProfileReport(
         wall_ns=wall_ns, backend=backend, jobs=jobs, lanes=lanes,
         attribution={
-            "pack_ns": pack_ns,
             "probe_ns": probe_ns,
-            "unpack_ns": unpack_ns,
             "task_compute_ns": task_compute_ns,
             "worker_busy_ns": worker_busy_ns,
             "worker_wall_ns": worker_wall_ns,

@@ -61,16 +61,14 @@ JSONL_REQUIRED = {
 #: of silently shipping an unvalidated family.
 KNOWN_METRIC_PREFIXES = (
     "exec.",
-    # Dispatch-overhead family (pack/unpack/payload/chunk layout) —
-    # covered by "exec." above but registered explicitly so the family
-    # survives any future narrowing of the exec prefix.
+    # Dispatch-overhead family (payload bytes, chunk layout) — covered
+    # by "exec." above but registered explicitly so the family survives
+    # any future narrowing of the exec prefix.
     "exec.dispatch.",
-    # Fault-tolerance families: manifest torn-tail repairs,
-    # retry/timeout/crash/quarantine/degrade transitions, and shm
-    # orphan reaping.
+    # Fault-tolerance families: manifest torn-tail repairs and
+    # retry/timeout/crash/quarantine/degrade transitions.
     "exec.manifest.",
     "exec.recovery.",
-    "exec.shm.",
     # District-scale fleet simulation: deployment sizes, reroute event
     # counts, rescue rate, reroute latency histograms.
     "fleet.",

@@ -21,8 +21,6 @@ from repro.exec import (
     task_fn,
 )
 from repro.exec import chaos as chaos_mod
-from repro.exec import shm as shm_mod
-from repro.exec.manifest import SweepManifest
 from repro.telemetry.collector import TelemetryCollector, use_collector
 
 
@@ -264,22 +262,6 @@ class TestStorageChaos:
         counts = tel.metrics.counter_values("exec.manifest.truncated")
         assert sum(counts.values()) == 1
         _assert_identical(again.results, first.results)
-
-    def test_orphaned_segment_reaped_on_next_sweep(self, tmp_path):
-        if not shm_mod.enabled() or not shm_mod.SHM_DIR:
-            pytest.skip("no /dev/shm")
-        name = chaos_mod.plant_orphan_segment(age_s=3600.0)
-        try:
-            out = run_sweep(_tasks(2), jobs=1, cache=False)
-            assert out.stats.orphans_reclaimed >= 1
-            import os
-            assert not os.path.exists(os.path.join(shm_mod.SHM_DIR, name))
-        finally:
-            import os
-            try:
-                os.unlink(os.path.join(shm_mod.SHM_DIR, name))
-            except OSError:
-                pass
 
 
 class TestFullCircus:

@@ -1,4 +1,5 @@
-"""The sharded executor: ordering, backends, chunking, cache wiring."""
+"""The sharded executor: ordering, backends, chunking, cache wiring,
+chunk autotuning and ``exec.dispatch`` telemetry."""
 
 import threading
 import time
@@ -6,7 +7,10 @@ import time
 import numpy as np
 import pytest
 
-from repro.exec import ResultCache, Task, run_sweep, task_fn
+from repro.exec import AUTO_CHUNK_TARGET_S, ResultCache, Task, run_sweep, task_fn
+from repro.exec.executor import _auto_chunk_size
+from repro.telemetry.collector import TelemetryCollector, use_collector
+from repro.telemetry.validate import KNOWN_METRIC_PREFIXES
 
 
 @task_fn("test.exec.square", version="1")
@@ -17,6 +21,11 @@ def _square(x):
 @task_fn("test.exec.draw", version="1")
 def _draw(n, rng=None):
     return {"v": rng.standard_normal(n)}
+
+
+@task_fn("test.exec.norm", version="1")
+def _norm(vec, scale, rng):
+    return float(np.dot(vec, vec)) * scale + rng.standard_normal()
 
 
 @task_fn("test.exec.slow", version="1")
@@ -66,6 +75,13 @@ def _squares(n):
     return [Task("test.exec.square", {"x": i}) for i in range(n)]
 
 
+def _norm_tasks(n=8, size=2000):
+    """Tasks whose params carry one shared ndarray each."""
+    vec = np.arange(size, dtype=float)
+    return [Task("test.exec.norm", {"vec": vec, "scale": i}, seed=i)
+            for i in range(n)]
+
+
 class TestOrderingAndBackends:
     def test_results_in_task_order(self):
         out = run_sweep(_squares(17), jobs=4, backend="thread")
@@ -88,6 +104,12 @@ class TestOrderingAndBackends:
         procs = run_sweep(tasks, jobs=2, backend="process")
         for a, b in zip(serial.results, procs.results):
             assert np.array_equal(a["v"], b["v"])
+
+    def test_process_array_params_match_serial(self):
+        tasks = _norm_tasks()
+        serial = run_sweep(tasks, jobs=1, backend="serial", cache=False)
+        par = run_sweep(tasks, jobs=2, backend="process", cache=False)
+        assert list(serial) == list(par)
 
     def test_threads_actually_used(self):
         out = run_sweep([Task("test.exec.slow", {"x": i}) for i in range(8)],
@@ -237,3 +259,50 @@ class TestEnvDefaults:
         monkeypatch.setenv("REPRO_BACKEND", "gpu")
         with pytest.raises(ValueError):
             run_sweep(_squares(2))
+
+
+class TestAutoChunk:
+    def test_auto_chunk_size_targets_budget(self):
+        per_task = AUTO_CHUNK_TARGET_S / 10
+        assert _auto_chunk_size(per_task, 100, 2) == 10
+        # Slow tasks: one per chunk.
+        assert _auto_chunk_size(10.0, 100, 2) == 1
+        # Fast tasks: clamped so both workers get work.
+        assert _auto_chunk_size(1e-9, 100, 2) == 50
+
+    def test_auto_results_identical(self):
+        tasks = _norm_tasks(10)
+        serial = run_sweep(tasks, jobs=1, backend="serial", cache=False)
+        auto = run_sweep(tasks, jobs=2, backend="thread", cache=False,
+                         chunk_size="auto")
+        assert list(serial) == list(auto)
+        assert auto.stats.chunk_size is not None
+        assert auto.stats.chunks >= 2  # probe + at least one pool chunk
+
+
+class TestDispatchTelemetry:
+    def test_payload_and_chunk_size_recorded(self):
+        col = TelemetryCollector(origin="test")
+        with use_collector(col):
+            run_sweep(_norm_tasks(), jobs=2, backend="process", cache=False,
+                      chunk_size=4)
+        payload = col.payload()
+        hists = {h["name"]: h for h in payload["histograms"]}
+        gauges = {g["name"]: g for g in payload["gauges"]}
+        # One pickled-payload observation per dispatched chunk.
+        assert hists["exec.dispatch.payload_bytes"]["count"] == 2
+        assert gauges["exec.dispatch.chunk_size"]["value"] == 4
+
+    def test_excluded_from_deterministic_snapshot(self):
+        tasks = _norm_tasks()
+        serial_col = TelemetryCollector(origin="a")
+        with use_collector(serial_col):
+            run_sweep(tasks, jobs=1, backend="serial", cache=False)
+        par_col = TelemetryCollector(origin="b")
+        with use_collector(par_col):
+            run_sweep(tasks, jobs=2, backend="process", cache=False)
+        assert serial_col.deterministic_snapshot() == \
+            par_col.deterministic_snapshot()
+
+    def test_dispatch_prefix_registered(self):
+        assert "exec.dispatch." in KNOWN_METRIC_PREFIXES

@@ -9,6 +9,7 @@ every output array bit-for-bit across execution modes.
 import dataclasses
 
 import numpy as np
+import pytest
 
 from repro.netsim.experiments import (
     fault_sweep_experiment,
@@ -60,11 +61,15 @@ class TestParallelMatchesSerial:
                                             backend="thread")
         _assert_same_tree(serial, parallel, "latency")
 
-    def test_fault_sweep(self):
+    @pytest.mark.parametrize("jobs, backend", [(4, "thread"), (2, "process")])
+    def test_fault_sweep(self, jobs, backend):
+        # The only runner whose task params carry ndarrays (h_sd, h_sr,
+        # h_rd): on the process backend they are pickled to the workers.
         kwargs = dict(fault_rates=(0.0, 0.3), num_clients=3, num_steps=10,
                       seed=1)
         serial = fault_sweep_experiment(jobs=1, **kwargs)
-        parallel = fault_sweep_experiment(jobs=4, backend="thread", **kwargs)
+        parallel = fault_sweep_experiment(jobs=jobs, backend=backend,
+                                          **kwargs)
         _assert_same_tree(serial, parallel, "fault")
 
     def test_coverage_heatmap(self):
