@@ -54,11 +54,6 @@ def bandlimited_gaussian(num_samples, power_dbm, occupied_fraction, rng):
     return x * np.sqrt(power / np.mean(np.abs(x) ** 2))
 
 
-def ofdm_like_traffic(num_samples, power_dbm, rng, occupied_fraction=52.0 / 64.0):
-    """OFDM-like Gaussian traffic occupying 52 of 64 tones of its band."""
-    return bandlimited_gaussian(num_samples, power_dbm, occupied_fraction, rng)
-
-
 @dataclass
 class CancellationReport:
     """Measured cancellation split across stages."""

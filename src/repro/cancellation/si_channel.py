@@ -104,7 +104,7 @@ class SelfInterferenceChannel:
                                         sample_rate_hz,
                                         cache_key=self._kernel_cache_key())
 
-    def as_stage(self, sample_rate_hz, block_size=4096):
+    def as_stage(self, sample_rate_hz):
         """The channel as a streaming stage (cached spectral kernel).
 
         Useful for composing full streaming loops — e.g.
@@ -115,7 +115,7 @@ class SelfInterferenceChannel:
         from repro.runtime.spectral import FrequencyResponseStage
 
         return FrequencyResponseStage(
-            self.frequency_response, sample_rate_hz, block_size=block_size,
+            self.frequency_response, sample_rate_hz,
             cache_key=self._kernel_cache_key(), name="si-channel")
 
     def isolation_db(self):

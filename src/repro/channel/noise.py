@@ -50,11 +50,6 @@ class NoiseModel:
             noise_floor_dbm = thermal_noise_dbm(bandwidth_hz, noise_figure_db)
         self.noise_floor_dbm = float(noise_floor_dbm)
 
-    @property
-    def noise_power_linear(self):
-        """Noise power in linear mW (sqrt-mW amplitude convention)."""
-        return float(db_to_power(self.noise_floor_dbm))
-
     def sample(self, shape, rng=None):
         """Draw noise samples of the given shape."""
         return awgn(shape, self.noise_floor_dbm, rng=rng)

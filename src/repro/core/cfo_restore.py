@@ -19,48 +19,45 @@ from repro.utils.validation import ensure_complex_1d
 class CfoRestorer:
     """Derotate on ingest, re-rotate identically on egress.
 
-    One instance per (source, relay) pair; both directions keep their
-    own running phase so arbitrary chunking works.  Chunks may be 1-D
-    (one IQ stream) or ``(streams, n)`` — all MIMO chains share the
-    source's single oscillator, so one rotation vector broadcasts
-    across every row.
+    One instance per (source, relay) pair; both directions count their
+    own samples, and each sample's phase follows from its index in the
+    stream alone, so any chunking rotates bit-identically to one whole
+    call.  Chunks may be 1-D (one IQ stream) or ``(streams, n)`` — all
+    MIMO chains share the source's single oscillator, so one rotation
+    vector broadcasts across every row.
     """
 
     def __init__(self, cfo_hz, sample_rate_hz):
         self.cfo_hz = float(cfo_hz)
         self.sample_rate_hz = float(sample_rate_hz)
-        self._ingest_phase = 0.0
-        self._egress_phase = 0.0
+        self._ingested = 0
+        self._egressed = 0
 
     def reset(self):
-        """Restart both phase accumulators."""
-        self._ingest_phase = 0.0
-        self._egress_phase = 0.0
+        """Restart both sample counters."""
+        self._ingested = 0
+        self._egressed = 0
 
-    def _advance(self, phase, num_samples):
-        step = 2.0 * np.pi * self.cfo_hz * num_samples / self.sample_rate_hz
-        return (phase + step) % (2.0 * np.pi)
-
-    def _rotate(self, x, sign, initial_phase):
-        """Apply ``exp(j*(sign*2*pi*f*n/fs + initial_phase))`` per row."""
+    def _rotate(self, x, sign, start):
+        """Apply ``exp(j*sign*2*pi*f*n/fs)`` at stream indices from ``start``."""
         x = np.asarray(x, dtype=complex)
         if x.ndim not in (1, 2):
             raise ValueError(f"x must be 1-D or (streams, n), got {x.shape}")
-        n = np.arange(x.shape[-1])
+        n = np.arange(start, start + x.shape[-1])
         rot = np.exp(1j * (sign * 2.0 * np.pi * self.cfo_hz * n
-                           / self.sample_rate_hz + initial_phase))
+                           / self.sample_rate_hz))
         return x * rot  # broadcasts over every stream row
 
     def correct(self, x):
         """Remove the source CFO from an ingest chunk."""
-        out = self._rotate(x, -1.0, -self._ingest_phase)
-        self._ingest_phase = self._advance(self._ingest_phase, out.shape[-1])
+        out = self._rotate(x, -1.0, self._ingested)
+        self._ingested += out.shape[-1]
         return out
 
     def restore(self, x):
         """Re-apply the source CFO to an egress chunk."""
-        out = self._rotate(x, 1.0, self._egress_phase)
-        self._egress_phase = self._advance(self._egress_phase, out.shape[-1])
+        out = self._rotate(x, 1.0, self._egressed)
+        self._egressed += out.shape[-1]
         return out
 
     def process(self, x, processor):

@@ -45,6 +45,7 @@ from repro.core.decomposition import decompose_cnf_filter
 from repro.core.latency import ISI_ICI_FACTOR, LatencyBudget, isi_useful_fraction
 from repro.phy.mimo import multiplexing_stream_sinrs
 from repro.phy.params import OfdmParams, WIFI_20MHZ
+from repro.phy.rates import MCS_TABLE
 from repro.telemetry.collector import current_collector
 from repro.utils.units import db_to_linear, db_to_power, power_to_db
 from repro.utils.validation import ensure_finite
@@ -52,6 +53,14 @@ from repro.utils.validation import ensure_finite
 #: Monotone link tokens keying the spectral-kernel cache (one token per
 #: configured link, so reconfiguring never reuses a stale kernel).
 _LINK_TOKENS = itertools.count()
+
+#: Truncation tolerance (relative RMS error) of the relay's CNF kernel:
+#: 30 dB under the SNR the top MCS needs (31 dB at MCS 9, so ~-61 dB),
+#: so truncation never costs the forwarded signal a rate step.  The
+#: self-interference models keep the far tighter
+#: :data:`repro.runtime.kernels.DEFAULT_TAIL_REL`.
+SIGNAL_PATH_TAIL_REL = 10.0 ** (
+    -(max(entry.min_snr_db for entry in MCS_TABLE) + 30.0) / 20.0)
 
 
 def group_means(h, group_size):
@@ -118,14 +127,14 @@ class FastForwardRelay:
         self.amplification_db = 0.0
         # Streaming runtime state: a fresh token per configured link
         # keys the spectral-kernel cache; built chains are memoised per
-        # (sample rate, CFO, block size) until the link changes.
+        # (mode, sample rate, CFO) until the link changes.
         self._link_token = None
         self._chains = {}
-        # Auto-wired telemetry traces, one per live collector: the
-        # trace (and its resolved metric points) is reused across
-        # process() calls, so per-call instrumentation setup stays off
-        # the streaming path.
-        self._auto_traces = weakref.WeakKeyDictionary()
+        # Auto-wired telemetry, one entry per live collector: the trace
+        # and the resolved metric points are reused across process()
+        # calls, so per-call instrumentation setup stays off the
+        # streaming path.
+        self._telemetry_memo = weakref.WeakKeyDictionary()
 
     def _invalidate_chains(self):
         """A new link means new kernels: drop memoised chains."""
@@ -462,7 +471,7 @@ class FastForwardRelay:
         return matrix_response
 
     def _build_chain(self, response_fn, kernel_tag, sample_rate_hz, cfo_hz,
-                     block_size, name):
+                     name):
         from repro.runtime.chain import Chain, GainStage
         from repro.runtime.spectral import FrequencyResponseStage
         from repro.runtime.stage import CfoCorrectStage, CfoRestoreStage
@@ -472,15 +481,14 @@ class FastForwardRelay:
         if restorer is not None:
             stages.append(CfoCorrectStage(restorer))
         stages.append(FrequencyResponseStage(
-            response_fn, sample_rate_hz, block_size=block_size,
+            response_fn, sample_rate_hz, tail_rel=SIGNAL_PATH_TAIL_REL,
             cache_key=(self._link_token, kernel_tag), name="cnf-filter"))
         stages.append(GainStage(self.amplification_db, name="amplify"))
         if restorer is not None:
             stages.append(CfoRestoreStage(restorer))
         return Chain(stages, name=name)
 
-    def make_siso_chain(self, sample_rate_hz=None, cfo_hz=0.0,
-                        block_size=4096):
+    def make_siso_chain(self, sample_rate_hz=None, cfo_hz=0.0):
         """The relay as a streaming :class:`repro.runtime.chain.Chain`.
 
         SISO only.  Stages, in order: CFO correct (when ``cfo_hz`` is
@@ -496,11 +504,10 @@ class FastForwardRelay:
             raise RuntimeError("sample-level processing requires a SISO link")
         sample_rate_hz = sample_rate_hz or self.config.params.bandwidth_hz
         return self._build_chain(self._siso_response_fn(), "siso",
-                                 sample_rate_hz, cfo_hz, block_size,
+                                 sample_rate_hz, cfo_hz,
                                  name="ff-relay-siso")
 
-    def make_mimo_chain(self, sample_rate_hz=None, cfo_hz=0.0,
-                        block_size=4096):
+    def make_mimo_chain(self, sample_rate_hz=None, cfo_hz=0.0):
         """The MIMO relay as a streaming chain over ``(K, n)`` blocks.
 
         Stages mirror :meth:`make_siso_chain`; the spectral stage
@@ -514,16 +521,16 @@ class FastForwardRelay:
                 "sample-level MIMO processing requires a MIMO link")
         sample_rate_hz = sample_rate_hz or self.config.params.bandwidth_hz
         return self._build_chain(self._mimo_response_fn(), "mimo",
-                                 sample_rate_hz, cfo_hz, block_size,
+                                 sample_rate_hz, cfo_hz,
                                  name="ff-relay-mimo")
 
-    def _memoised_chain(self, mode, sample_rate_hz, cfo_hz, block_size):
-        key = (mode, float(sample_rate_hz), float(cfo_hz), int(block_size))
+    def _memoised_chain(self, mode, sample_rate_hz, cfo_hz):
+        key = (mode, float(sample_rate_hz), float(cfo_hz))
         chain = self._chains.get(key)
         if chain is None:
             maker = self.make_siso_chain if mode == "siso" \
                 else self.make_mimo_chain
-            chain = maker(sample_rate_hz, cfo_hz, block_size)
+            chain = maker(sample_rate_hz, cfo_hz)
             self._chains[key] = chain
         return chain
 
@@ -562,22 +569,30 @@ class FastForwardRelay:
         run_chain = Chain([*faults, chain], name=f"faulty-{chain.name}")
         return run_chain.run(x, trace=trace)
 
-    def _auto_trace(self, tel):
-        """The memoised telemetry-fed trace for a live collector.
+    def _instruments(self, tel, mode):
+        """``(auto trace, relay.samples point)`` for a collector.
 
-        Auto-wired traces feed ``runtime.stage.*`` metric points that
-        are resolved once per stage; reusing the trace across calls
-        keeps that resolution off the per-call path.  The trace itself
-        only writes into the collector, so sharing it between calls is
-        observationally identical to a fresh one.
+        For a live collector both are resolved once and memoised:
+        auto-wired traces feed ``runtime.stage.*`` metric points that
+        are resolved once per stage, and resolving a point (kwargs ->
+        sorted label key) costs more than updating it, so reuse keeps
+        that off the per-call path.  Both only write into the
+        collector, so sharing them between calls is observationally
+        identical to fresh ones.  The null collector gets no trace and
+        its shared no-op counter.
         """
-        trace = self._auto_traces.get(tel)
-        if trace is None:
+        if not tel.enabled:
+            return None, tel.counter("relay.samples", mode=mode)
+        memo = self._telemetry_memo.get(tel)
+        if memo is None:
             from repro.runtime.chain import ChainTrace
 
-            trace = ChainTrace(collector=tel, energy=False)
-            self._auto_traces[tel] = trace
-        return trace
+            memo = {"trace": ChainTrace(collector=tel, energy=False)}
+            self._telemetry_memo[tel] = memo
+        samples = memo.get(mode)
+        if samples is None:
+            samples = memo[mode] = tel.counter("relay.samples", mode=mode)
+        return memo["trace"], samples
 
     @staticmethod
     def _harvest_health(faults):
@@ -590,8 +605,8 @@ class FastForwardRelay:
                 max(residual) if residual else None)
 
     def process(self, iq_stream, sample_rate_hz=None, cfo_hz=0.0, *,
-                block_size=4096, trace=None, faults=None, supervisor=None,
-                telemetry=None, probes=None):
+                trace=None, faults=None, supervisor=None, telemetry=None,
+                probes=None):
         """Produce the relay's transmit waveform for a received stream.
 
         SISO only.  Applies, in order: CFO correction, the digital
@@ -639,12 +654,12 @@ class FastForwardRelay:
             raise RuntimeError("sample-level processing requires a SISO link")
         sample_rate_hz = sample_rate_hz or self.config.params.bandwidth_hz
         tel = telemetry if telemetry is not None else current_collector()
-        if tel.enabled and trace is None:
-            trace = self._auto_trace(tel)
+        auto_trace, samples = self._instruments(tel, "siso")
+        if trace is None:
+            trace = auto_trace
         x = np.asarray(iq_stream, dtype=complex)
         x = self._admit_stream(x, supervisor)
-        chain = self._memoised_chain("siso", sample_rate_hz, cfo_hz,
-                                     block_size)
+        chain = self._memoised_chain("siso", sample_rate_hz, cfo_hz)
         run_chain = chain if probes is None else probes.instrument(
             chain, sample_rate_hz=sample_rate_hz)
         with tel.span("relay.process", mode="siso"):
@@ -655,13 +670,13 @@ class FastForwardRelay:
                     y, duration_s=x.size / sample_rate_hz,
                     clip_fraction=clip_fraction,
                     residual_si_db=residual_si_db)
-        tel.counter("relay.samples", mode="siso").inc(int(x.size))
+        samples.inc(int(x.size))
         if probes is not None:
             probes.publish(tel)
         return y
 
     def process_batch(self, iq_streams, sample_rate_hz=None, cfo_hz=0.0, *,
-                      block_size=4096, telemetry=None):
+                      telemetry=None):
         """Relay many *independent* SISO frames in one batched pass.
 
         ``iq_streams`` is a sequence of 1-D sample arrays, one frame per
@@ -685,14 +700,14 @@ class FastForwardRelay:
             raise RuntimeError("sample-level processing requires a SISO link")
         sample_rate_hz = sample_rate_hz or self.config.params.bandwidth_hz
         tel = telemetry if telemetry is not None else current_collector()
+        _, samples = self._instruments(tel, "siso")
         frames = [np.asarray(f, dtype=complex) for f in iq_streams]
         for f in frames:
             if f.ndim != 1:
                 raise ValueError(
                     f"each frame must be a 1-D stream, got shape {f.shape}")
             ensure_finite(f, "iq_stream")
-        chain = self._memoised_chain("siso", sample_rate_hz, cfo_hz,
-                                     block_size)
+        chain = self._memoised_chain("siso", sample_rate_hz, cfo_hz)
         by_len = {}
         for i, f in enumerate(frames):
             by_len.setdefault(f.size, []).append(i)
@@ -710,12 +725,12 @@ class FastForwardRelay:
                     for row, i in enumerate(part):
                         outputs[i] = y[row]
                 total += n * len(idxs)
-        tel.counter("relay.samples", mode="siso").inc(int(total))
+        samples.inc(int(total))
         return outputs
 
     def process_mimo(self, iq_streams, sample_rate_hz=None, cfo_hz=0.0, *,
-                     block_size=4096, trace=None, faults=None,
-                     supervisor=None, telemetry=None, probes=None):
+                     trace=None, faults=None, supervisor=None,
+                     telemetry=None, probes=None):
         """Produce the K relay transmit streams for K received streams.
 
         MIMO only.  Applies the per-subcarrier unitary filters
@@ -739,16 +754,16 @@ class FastForwardRelay:
                 "sample-level MIMO processing requires a MIMO link")
         sample_rate_hz = sample_rate_hz or self.config.params.bandwidth_hz
         tel = telemetry if telemetry is not None else current_collector()
-        if tel.enabled and trace is None:
-            trace = self._auto_trace(tel)
+        auto_trace, samples = self._instruments(tel, "mimo")
+        if trace is None:
+            trace = auto_trace
         x = np.atleast_2d(np.asarray(iq_streams, dtype=complex))
         k = self._mimo_f0.shape[1]
         if x.shape[0] != k:
             raise ValueError(
                 f"expected {k} receive streams, got {x.shape[0]}")
         x = self._admit_stream(x, supervisor)
-        chain = self._memoised_chain("mimo", sample_rate_hz, cfo_hz,
-                                     block_size)
+        chain = self._memoised_chain("mimo", sample_rate_hz, cfo_hz)
         run_chain = chain if probes is None else probes.instrument(
             chain, sample_rate_hz=sample_rate_hz)
         with tel.span("relay.process", mode="mimo"):
@@ -759,7 +774,7 @@ class FastForwardRelay:
                     y, duration_s=x.shape[-1] / sample_rate_hz,
                     clip_fraction=clip_fraction,
                     residual_si_db=residual_si_db)
-        tel.counter("relay.samples", mode="mimo").inc(int(x.shape[-1]))
+        samples.inc(int(x.shape[-1]))
         if probes is not None:
             probes.publish(tel)
         return y

@@ -37,9 +37,8 @@ def apply_frequency_response(x, response_fn, sample_rate_hz,
     if not 0.0 < flat_fraction < stop_fraction <= 0.5:
         raise ValueError("need 0 < flat_fraction < stop_fraction <= 0.5")
     stage = FrequencyResponseStage(
-        response_fn, sample_rate_hz, block_size=min(x.size, 8192),
-        flat_fraction=flat_fraction, stop_fraction=stop_fraction,
-        cache_key=cache_key)
+        response_fn, sample_rate_hz, flat_fraction=flat_fraction,
+        stop_fraction=stop_fraction, cache_key=cache_key)
     return stage.run(x)
 
 

@@ -94,24 +94,6 @@ class AnalogTapDelayLine:
         self.gains = gains.astype(complex)
         return quantised
 
-    def drift_gains(self, rng, amp_sigma_db=0.1, phase_sigma_rad=0.02):
-        """Perturb the realised tap gains in place (one drift step).
-
-        Models attenuator/phase-shifter drift with temperature and
-        supply: each tap's magnitude moves by a Gaussian step in dB and
-        its phase by a Gaussian step in radians.  Call once per
-        simulated interval with per-√interval sigmas for a random walk;
-        :class:`repro.faults.impairments.TapDriftStage` applies the
-        same walk to a stream when the board itself is not in the loop.
-        Taps at exactly zero stay zero (a powered-down tap does not
-        drift on).  Returns the new gains.
-        """
-        amp_db = rng.normal(0.0, float(amp_sigma_db), self.num_taps)
-        phase = rng.normal(0.0, float(phase_sigma_rad), self.num_taps)
-        factor = db_to_linear(amp_db) * np.exp(1j * phase)
-        self.gains = np.where(self.gains == 0, 0.0, self.gains * factor)
-        return self.gains
-
     def quantize_gains(self, gains):
         """Quantise ideal complex gains to the attenuator grid.
 
@@ -165,7 +147,7 @@ class AnalogTapDelayLine:
                                         sample_rate_hz,
                                         cache_key=self._kernel_cache_key())
 
-    def as_stage(self, sample_rate_hz, block_size=4096):
+    def as_stage(self, sample_rate_hz):
         """The board as a streaming stage with its current gain settings.
 
         Returns a :class:`repro.runtime.spectral.FrequencyResponseStage`
@@ -177,7 +159,7 @@ class AnalogTapDelayLine:
         from repro.runtime.spectral import FrequencyResponseStage
 
         return FrequencyResponseStage(
-            self.frequency_response, sample_rate_hz, block_size=block_size,
+            self.frequency_response, sample_rate_hz,
             cache_key=self._kernel_cache_key(), name="analog-line")
 
     def solve_gains_for_response(self, baseband_freqs_hz, desired_response,

@@ -61,10 +61,6 @@ class FaultSchedule:
         return BurstProcess(self.stream(label, "bursts"), rate_per_sample,
                             mean_duration_samples)
 
-    def packet_loss(self, label, loss_probability):
-        """A :class:`PacketLossProcess` seeded from this schedule."""
-        return PacketLossProcess(self, loss_probability, label=label)
-
     def __repr__(self):
         return f"FaultSchedule(seed={self.seed})"
 

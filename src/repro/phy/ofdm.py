@@ -168,12 +168,6 @@ class OfdmDemodulator:
         tone_scale = np.sqrt(p.fft_size / p.num_used_subcarriers)
         return grid[..., self._data_idx % p.fft_size] / tone_scale
 
-    def extract_pilots(self, grid):
-        """Pilot-subcarrier values from full frequency grid(s)."""
-        p = self.params
-        tone_scale = np.sqrt(p.fft_size / p.num_used_subcarriers)
-        return grid[..., self._pilot_idx % p.fft_size] / tone_scale
-
     def demodulate(self, samples, num_symbols=None):
         """Demodulate a burst; returns an array (num_symbols, n_data).
 

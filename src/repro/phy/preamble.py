@@ -180,7 +180,3 @@ class Preamble:
     def ltf_reference_grid(self):
         """The known LTF frequency grid used for channel estimation."""
         return self._ltf_grid.copy()
-
-    def stf_period_reference(self):
-        """One STF period (for detection correlators)."""
-        return self._stf_period.copy()

@@ -124,10 +124,6 @@ class Transmitter:
             waves[s, start : start + bodies[s].size] = bodies[s]
         return waves
 
-    def header_is_multistream_aware(self):
-        """True — stream count travels in each per-stream header."""
-        return True
-
 
 class MimoReceiver:
     """Receive chain for two-stream spatial-multiplexing PPDUs.
@@ -384,12 +380,6 @@ class Receiver:
             return None
         return parse_ppdu_header(bits[:HEADER_INFO_BITS])
 
-    def _decode_header(self, eq_symbols, noise_var):
-        """Decode the two BPSK header symbols -> PhyFrame or None."""
-        llrs = self._header_llrs(eq_symbols, noise_var)
-        bits = self._viterbi.decode(llrs, terminated=True)
-        return self._header_from_bits(bits)
-
     def _payload_soft(self, eq_symbols, noise_var, frame):
         """Depunctured payload soft metrics, or None if truncated.
 
@@ -428,14 +418,6 @@ class Receiver:
         if not np.array_equal(crc32(payload), check):
             return None
         return payload
-
-    def _decode_payload(self, eq_symbols, noise_var, frame):
-        """Decode payload symbols using header info -> bits or None."""
-        soft = self._payload_soft(eq_symbols, noise_var, frame)
-        if soft is None:
-            return None
-        decoded = self._viterbi.decode(soft, terminated=True)
-        return self._payload_from_bits(decoded, frame)
 
     def payload_symbol_count(self, frame):
         """Number of payload OFDM symbols implied by a header."""

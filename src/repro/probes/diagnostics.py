@@ -226,10 +226,10 @@ class SegmentBuffer:
         Equivalent to :meth:`feed` followed by the policy mask, but
         built for the always-on tap hot path: kept bursts are
         enumerated with integer arithmetic (one iteration per policy
-        period spanned, not per segment), segments come out of the
-        block as contiguous-slice views, and nothing proportional to
-        the stream length is copied or allocated — the cost scales
-        with the duty cycle.  (The plain :meth:`feed` concatenates the
+        period spanned, not per segment), only the kept segments are
+        copied out of the block, and nothing proportional to the
+        stream length is copied or allocated — the cost scales with
+        the duty cycle.  (The plain :meth:`feed` concatenates the
         carry with the whole block whenever the segment length does
         not divide it — a full-stream copy on every call.)
         """
@@ -283,8 +283,10 @@ class SegmentBuffer:
                         [head, x[seg - carry_n:b]]).reshape(hi - lo, seg)
                 seg_parts.append(rows.astype(complex, copy=False))
             else:
-                seg_parts.append(np.asarray(
-                    x[a:b].reshape(hi - lo, seg), dtype=complex))
+                # A copy: a view would pin the whole block until the
+                # deferred analysis drains.
+                seg_parts.append(
+                    x[a:b].reshape(hi - lo, seg).astype(complex))
         self._carry = x[x.size - tail:].astype(complex) if tail \
             else self._empty_carry
         if len(idx_parts) == 1:

@@ -3,13 +3,18 @@
 The seed implementation re-derived the whole windowed frequency-response
 grid — ``response_fn`` evaluated on a ``next_pow2(2n)``-point grid plus
 the raised-cosine band-edge window — on *every* ``process`` call.  Here
-the response is compiled **once** into a short time-domain FIR kernel
-(the windowed response decays fast, so truncating its impulse response
-at ~-110 dB keeps a few hundred taps) and reused for every block and
-every frame of a configured link.  The kernel cache is keyed on the
-response's identity, the sample rate and the window shape; the FFT of
-the kernel is additionally memoised per transform size, so a change of
-block size re-uses the same FIR.
+the response is compiled **once** into a time-domain FIR kernel and
+reused for every block and every frame of a configured link.  The
+kernel is the windowed impulse response truncated where the excluded
+tail falls below ``tail_rel`` of its RMS mass, so its length follows
+the tolerance.  Self-interference modelling keeps
+:data:`DEFAULT_TAIL_REL` (~-114 dB); the relay's signal path compiles
+at :data:`repro.core.relay.SIGNAL_PATH_TAIL_REL` (~-61 dB).  A
+linearly interpolated CNF response decays only as 1/t^2, so that
+choice is the difference between thousands of taps and a few hundred.
+The kernel cache is keyed on the response's identity, the sample
+rate, the window shape and the tolerance; the FFT of the kernel is
+additionally memoised per transform size.
 
 Design notes
 ------------
@@ -100,11 +105,6 @@ class SpectralKernel:
         return self.fir.shape[-1]
 
     @property
-    def postcursor(self):
-        """Causal taps after the cursor."""
-        return self.length - self.precursor - 1
-
-    @property
     def is_matrix(self):
         """True for a MIMO (matrix-valued) kernel."""
         return self.fir.ndim == 3
@@ -193,9 +193,8 @@ class KernelCache:
 
     Keys combine the response identity supplied by the caller with every
     parameter that shapes the kernel: ``(cache_key, sample_rate, window
-    fractions, grid size, tail tolerance)``.  Per-FFT-size spectra are
-    memoised on the cached :class:`SpectralKernel` itself, so one cached
-    link serves every block size.
+    fractions, tail tolerance)``.  Per-FFT-size spectra are memoised on
+    the cached :class:`SpectralKernel` itself.
     """
 
     def __init__(self, max_entries=64):
@@ -251,21 +250,19 @@ def kernel_cache():
 
 def cached_windowed_kernel(cache_key, response_fn, sample_rate_hz,
                            flat_fraction=0.35, stop_fraction=0.48,
-                           grid_size=DEFAULT_GRID_SIZE,
                            tail_rel=DEFAULT_TAIL_REL):
     """Fetch or compile the kernel for a stable ``cache_key``.
 
     With ``cache_key=None`` the kernel is compiled fresh (no caching) —
     correct for ad-hoc lambdas whose identity cannot be established.
     """
-    if cache_key is None:
+    def build():
         return design_windowed_kernel(response_fn, sample_rate_hz,
                                       flat_fraction, stop_fraction,
-                                      grid_size, tail_rel)
+                                      tail_rel=tail_rel)
+
+    if cache_key is None:
+        return build()
     full_key = (cache_key, float(sample_rate_hz), float(flat_fraction),
-                float(stop_fraction), int(grid_size), float(tail_rel))
-    return _GLOBAL_CACHE.get(
-        full_key,
-        lambda: design_windowed_kernel(response_fn, sample_rate_hz,
-                                       flat_fraction, stop_fraction,
-                                       grid_size, tail_rel))
+                float(stop_fraction), float(tail_rel))
+    return _GLOBAL_CACHE.get(full_key, build)

@@ -3,11 +3,12 @@
 :class:`FrequencyResponseStage` is the streaming replacement for the
 seed's whole-signal zero-padded FFT: the windowed response is compiled
 once into a short FIR kernel (see :mod:`repro.runtime.kernels`) and
-applied block-by-block with the overlap-save method.  Because the kernel
-is a *fixed* FIR, the output is exactly linear convolution regardless of
-how the stream is chunked — pushing one sample at a time, prime-sized
-blocks, or the whole frame in one call all produce identical samples to
-machine precision.
+applied hop by hop with the overlap-save method.  The FFT is sized from
+the kernel alone (``next_pow2(4 * L)``), so hop boundaries sit at fixed
+stream positions whatever the push sizes: pushing one sample at a time,
+prime-sized blocks, or the whole frame in one call produce bit-identical
+samples.  Every hop that is ready is transformed in one batched FFT, so
+long streams pay no per-hop Python loop.
 
 The kernel's anticausal part (``precursor`` samples) is compensated
 inside the stage: output samples are emitted ``precursor`` samples after
@@ -20,13 +21,10 @@ exactly like the one-shot path.  The lookahead is reported through
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from repro.runtime.chain import Stage
-from repro.runtime.kernels import (
-    DEFAULT_GRID_SIZE,
-    DEFAULT_TAIL_REL,
-    cached_windowed_kernel,
-)
+from repro.runtime.kernels import DEFAULT_TAIL_REL, cached_windowed_kernel
 from repro.utils.signal_ops import next_pow2
 
 
@@ -41,33 +39,28 @@ class FrequencyResponseStage(Stage):
         a per-bin MIMO matrix response (blocks are then ``(K, n)``).
     sample_rate_hz:
         Baseband sample rate.
-    block_size:
-        Expected push size — sizes the overlap-save FFT.  Any actual
-        block size still works (the stage buffers internally); this is a
-        throughput hint, not a contract.
     cache_key:
         Stable identity of the response for the process-wide kernel
         cache; ``None`` compiles a private kernel.
     flat_fraction / stop_fraction:
         Band-edge window shape (see
         :func:`repro.runtime.kernels.band_edge_window`).
+    tail_rel:
+        Truncation tolerance of the compiled kernel (relative RMS).
     """
 
-    def __init__(self, response_fn, sample_rate_hz, block_size=4096,
-                 flat_fraction=0.35, stop_fraction=0.48, cache_key=None,
-                 grid_size=DEFAULT_GRID_SIZE, tail_rel=DEFAULT_TAIL_REL,
-                 name="freq-response"):
-        if block_size < 1:
-            raise ValueError(f"block_size must be >= 1, got {block_size}")
+    def __init__(self, response_fn, sample_rate_hz, flat_fraction=0.35,
+                 stop_fraction=0.48, cache_key=None,
+                 tail_rel=DEFAULT_TAIL_REL, name="freq-response"):
         self.sample_rate_hz = float(sample_rate_hz)
         self.name = name
         self.kernel = cached_windowed_kernel(
             cache_key, response_fn, sample_rate_hz, flat_fraction,
-            stop_fraction, grid_size, tail_rel)
+            stop_fraction, tail_rel=tail_rel)
         length = self.kernel.length
-        # The FFT must hold history (L-1) plus a useful hop; 2*L keeps
-        # the hop at least L+1 even for tiny block hints.
-        self.fft_size = next_pow2(max(2 * length, length - 1 + block_size))
+        # Each transform carries L-1 samples of history and a hop of
+        # about 3L new ones.
+        self.fft_size = next_pow2(4 * length)
         self.hop = self.fft_size - (length - 1)
         self._spectrum = self.kernel.spectrum(self.fft_size)
         self._streams = self._spectrum.shape[0] if self.kernel.is_matrix \
@@ -119,50 +112,53 @@ class FrequencyResponseStage(Stage):
     def _empty(self):
         return np.zeros((self._lead or ()) + (0,), dtype=complex)
 
-    def _convolve_hop(self, chunk):
-        """One overlap-save step: ``hop`` input -> ``hop`` output samples."""
+    def _convolve(self, hops):
+        """Overlap-save over the first ``hops`` whole hops pending."""
         length = self.kernel.length
         if self._history is None:
             self._history = np.zeros(
                 (self._lead or ()) + (length - 1,), dtype=complex)
-        segment = np.concatenate([self._history, chunk], axis=-1)
-        spec = np.fft.fft(segment, axis=-1)
+        segment = np.concatenate([self._history, *self._pending], axis=-1)
+        end = length - 1 + hops * self.hop
+        # Copies, not views: a view would pin the whole segment until
+        # the next call.
+        self._history = segment[..., end - (length - 1):end].copy()
+        rest = segment[..., end:].copy()
+        self._pending = [rest] if rest.shape[-1] else []
+        self._pending_count = rest.shape[-1]
+        # Read-only view of the hops' overlapping windows, one per row.
+        step = segment.strides[-1]
+        windows = as_strided(
+            segment, segment.shape[:-1] + (hops, self.fft_size),
+            segment.strides[:-1] + (self.hop * step, step), writeable=False)
+        spec = np.fft.fft(windows, axis=-1)
         if self._streams is None:
-            # In place: one fewer FFT-sized temporary per hop (each is
-            # fresh pages, i.e. page faults, once the heap is trimmed).
+            # In place: one fewer FFT-sized temporary per call.
             out_spec = np.multiply(self._spectrum, spec, out=spec)
         else:
-            out_spec = np.einsum("rtm,tm->rm", self._spectrum, spec)
+            out_spec = np.einsum("rtm,tkm->rkm", self._spectrum, spec)
         y = np.fft.ifft(out_spec, axis=-1)[..., length - 1:]
-        self._history = segment[..., -(length - 1):]
-        return y
+        return y.reshape(y.shape[:-2] + (-1,))
 
     def _drain(self, x, is_input):
-        """Buffer ``x``, run full hops, and emit aligned output samples."""
+        """Buffer ``x``, run every full hop, and emit aligned output."""
         n = x.shape[-1]
         if is_input:
             self._in_count += n
         if n:
             self._pending.append(x)
             self._pending_count += n
-        outs = []
-        while self._pending_count >= self.hop:
-            buf = np.concatenate(self._pending, axis=-1)
-            chunk, rest = buf[..., : self.hop], buf[..., self.hop:]
-            self._pending = [rest] if rest.shape[-1] else []
-            self._pending_count = rest.shape[-1]
-            outs.append(self._convolve_hop(chunk))
-        if not outs:
+        hops = self._pending_count // self.hop
+        if not hops:
             return self._empty()
-        out = np.concatenate(outs, axis=-1)
+        out = self._convolve(hops)
         if self._skip:
             drop = min(self._skip, out.shape[-1])
             out = out[..., drop:]
             self._skip -= drop
         # Never emit beyond the samples actually ingested (zero padding
         # pushed by flush() must not lengthen the stream).
-        allowed = self._in_count - self._out_count
-        out = out[..., : max(allowed, 0)]
+        out = out[..., : self._in_count - self._out_count]
         self._out_count += out.shape[-1]
         return out
 
@@ -177,15 +173,12 @@ class FrequencyResponseStage(Stage):
 
     def flush(self):
         """Drain the tail so total output length equals total input."""
-        outs = []
-        zeros_shape = (self._lead or ()) + (self.hop,)
-        guard = 0
-        while self._out_count < self._in_count:
-            outs.append(self._drain(np.zeros(zeros_shape, dtype=complex),
-                                    is_input=False))
-            guard += 1
-            if guard > 4 + (self.kernel.length // self.hop + 2):
-                raise RuntimeError("overlap-save flush failed to converge")
-        if not outs:
+        if self._out_count == self._in_count:
             return self._empty()
-        return np.concatenate(outs, axis=-1)
+        # Zeros past the lookahead, rounded up to a whole hop: one drain
+        # emits every remaining sample.
+        precursor = self.kernel.precursor
+        pad = -(self._pending_count + precursor) % self.hop + precursor
+        return self._drain(
+            np.zeros((self._lead or ()) + (pad,), dtype=complex),
+            is_input=False)

@@ -249,11 +249,6 @@ class MetricsRegistry:
         return {labels: c.value for (n, labels), c in self._counters.items()
                 if n == name}
 
-    def gauge_values(self, name):
-        """``{labels_tuple: value}`` for every point of gauge ``name``."""
-        return {labels: g.value for (n, labels), g in self._gauges.items()
-                if n == name}
-
     def unit(self, name):
         """The advisory unit registered for metric ``name`` (or None)."""
         return self._units.get(name)

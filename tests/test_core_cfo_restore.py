@@ -41,7 +41,7 @@ class TestCorrectRestore:
             chunked.process(x[100:180], lambda s: 2.0 * s),
             chunked.process(x[180:], lambda s: 2.0 * s),
         ])
-        assert np.allclose(out_whole, out_chunks)
+        assert np.array_equal(out_whole, out_chunks)
 
     def test_length_changing_processor_rejected(self):
         restorer = CfoRestorer(10e3, 20e6)

@@ -296,9 +296,7 @@ class TestProbeSetOnRelay:
         for block_size in (512, 4096, None):
             probes = ProbeSet(params, reference=frame, policy=ALWAYS,
                               budget=cfg.latency)
-            chain = relay.make_siso_chain(block_size=block_size) \
-                if block_size else relay.make_siso_chain()
-            probed = probes.instrument(chain,
+            probed = probes.instrument(relay.make_siso_chain(),
                                        sample_rate_hz=params.bandwidth_hz)
             probed.reset()
             if block_size:

@@ -22,6 +22,7 @@ from repro.runtime import (
     GainStage,
     Stage,
 )
+from repro.service.scheduler import ChainPool
 
 FS = WIFI_20MHZ.bandwidth_hz
 
@@ -47,6 +48,20 @@ def _stream(chain, x, sizes):
 
 def _rms(a, b):
     return float(np.sqrt(np.mean(np.abs(a - b) ** 2)))
+
+
+def _spy_transform_sizes(monkeypatch):
+    """Record the length of every forward and inverse FFT from now on."""
+    sizes = []
+    for name in ("fft", "ifft"):
+        transform = getattr(np.fft, name)
+
+        def spy(a, *args, _transform=transform, **kwargs):
+            sizes.append(np.shape(a)[kwargs.get("axis", -1)])
+            return _transform(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, spy)
+    return sizes
 
 
 def _siso_relay(seed=7):
@@ -108,7 +123,7 @@ class TestStageContract:
 
 
 class TestBlockInvariance:
-    """Streaming in arbitrary block sizes matches one-shot <= 1e-8 RMS."""
+    """Streaming in arbitrary block sizes is bit-identical to one-shot."""
 
     @settings(max_examples=20, deadline=None)
     @given(sizes=st.lists(st.sampled_from([1, 2, 3, 7, 13, 64, 97, 1000]),
@@ -119,9 +134,9 @@ class TestBlockInvariance:
         rng = np.random.default_rng(3)
         x = rng.normal(size=2500) + 1j * rng.normal(size=2500)
         one_shot = relay.process(x, cfo_hz=cfo_hz)
-        chain = relay.make_siso_chain(cfo_hz=cfo_hz, block_size=512)
+        chain = relay.make_siso_chain(cfo_hz=cfo_hz)
         chain.reset()
-        assert _rms(_stream(chain, x, sizes), one_shot) <= 1e-8
+        assert np.array_equal(_stream(chain, x, sizes), one_shot)
 
     @settings(max_examples=10, deadline=None)
     @given(sizes=st.lists(st.sampled_from([1, 5, 17, 128, 311]),
@@ -131,9 +146,9 @@ class TestBlockInvariance:
         rng = np.random.default_rng(5)
         x = rng.normal(size=(2, 1800)) + 1j * rng.normal(size=(2, 1800))
         one_shot = relay.process_mimo(x, cfo_hz=700.0)
-        chain = relay.make_mimo_chain(cfo_hz=700.0, block_size=256)
+        chain = relay.make_mimo_chain(cfo_hz=700.0)
         chain.reset()
-        assert _rms(_stream(chain, x, sizes), one_shot) <= 1e-8
+        assert np.array_equal(_stream(chain, x, sizes), one_shot)
 
     def test_long_ppdu_prime_blocks(self):
         # A frame-sized stream pumped in prime-length blocks.
@@ -170,7 +185,7 @@ class TestBlockInvariance:
 class TestFrequencyResponseStage:
     def test_preserves_length_and_reports_latency(self):
         stage = FrequencyResponseStage(
-            lambda f: np.exp(-2j * np.pi * f * 25e-9), FS, block_size=256)
+            lambda f: np.exp(-2j * np.pi * f * 25e-9), FS)
         rng = np.random.default_rng(19)
         x = rng.normal(size=1111) + 1j * rng.normal(size=1111)
         out = stage.run(x)
@@ -193,6 +208,27 @@ class TestFrequencyResponseStage:
         stage = FrequencyResponseStage(lambda f: np.ones(np.size(f)), FS)
         with pytest.raises(ValueError):
             stage.process_block(np.zeros((2, 2, 2), dtype=complex))
+
+    @pytest.mark.parametrize("sizes", [[1], [7, 300], [13, 97, 1000],
+                                       [4096]])
+    def test_fft_size_independent_of_push_sizes(self, sizes, monkeypatch):
+        stage = FrequencyResponseStage(
+            lambda f: np.exp(-2j * np.pi * f * 25e-9), FS)
+        x = np.random.default_rng(41).normal(size=5000).astype(complex)
+        stage.reset()
+        transforms = _spy_transform_sizes(monkeypatch)
+        _stream(stage, x, sizes)
+        assert set(transforms) == {stage.fft_size}
+
+    def test_service_frame_transforms_are_small(self, monkeypatch):
+        # A 256-sample frame through the service pool's default relay
+        # (135 taps): the transforms follow the kernel, not a block hint.
+        relay = ChainPool().entry().relay
+        frame = np.random.default_rng(43).normal(size=256).astype(complex)
+        relay.process(frame)                 # builds the memoised chain
+        transforms = _spy_transform_sizes(monkeypatch)
+        relay.process(frame)
+        assert transforms and max(transforms) <= 1024
 
 
 class _TrippingStage(Stage):
@@ -222,7 +258,7 @@ class TestChainFailureRecovery:
     def _chain(self, trip_on=2):
         tripwire = _TrippingStage(trip_on)
         stage = FrequencyResponseStage(
-            lambda f: np.exp(-2j * np.pi * f * 50e-9), FS, block_size=256)
+            lambda f: np.exp(-2j * np.pi * f * 50e-9), FS)
         return Chain([stage, tripwire, GainStage(3.0)]), tripwire
 
     def test_reset_after_midchain_raise_restores_output(self):

@@ -5,7 +5,11 @@ import pytest
 
 from repro.cancellation.digital import CausalDigitalCanceller
 from repro.cancellation.si_channel import SelfInterferenceChannel
-from repro.core.relay import FastForwardRelay, RelayConfig
+from repro.core.relay import (
+    SIGNAL_PATH_TAIL_REL,
+    FastForwardRelay,
+    RelayConfig,
+)
 from repro.dsp.fir import FirFilter
 from repro.dsp.tapped_delay_line import AnalogTapDelayLine
 from repro.phy.params import WIFI_20MHZ
@@ -15,8 +19,14 @@ from repro.runtime import (
     DigitalCancellationStage,
     GainStage,
     StreamingFirStage,
+    FrequencyResponseStage,
     design_windowed_kernel,
     kernel_cache,
+)
+from repro.runtime.kernels import (
+    DEFAULT_GRID_SIZE,
+    DEFAULT_TAIL_REL,
+    band_edge_window,
 )
 
 FS = WIFI_20MHZ.bandwidth_hz
@@ -81,7 +91,7 @@ class TestAsStageAdapters:
         line.set_gains(np.array([0.5, 0.3j, -0.2]))
         x = _noise(3000, 5)
         one_shot = line.apply(x, FS)
-        stage = line.as_stage(FS, block_size=256)
+        stage = line.as_stage(FS)
         stage.reset()
         assert _rms(stage.run(x), one_shot) <= 1e-10
 
@@ -89,9 +99,66 @@ class TestAsStageAdapters:
         chan = SelfInterferenceChannel.typical(rng=7)
         x = _noise(2500, 8)
         one_shot = chan.apply(x, FS)
-        stage = chan.as_stage(FS, block_size=512)
+        stage = chan.as_stage(FS)
         stage.reset()
         assert _rms(stage.run(x), one_shot) <= 1e-10
+
+
+def _truncation_error(kernel, response_fn):
+    """Relative RMS distance of ``kernel`` from its untruncated response."""
+    freqs = np.fft.fftfreq(DEFAULT_GRID_SIZE, d=1.0 / FS)
+    target = np.asarray(response_fn(freqs), dtype=complex)
+    window = band_edge_window(freqs, FS)
+    target = target * (window if target.ndim == 1 else window[:, None, None])
+    taps = np.moveaxis(kernel.fir, -1, 0)
+    grid = np.zeros((DEFAULT_GRID_SIZE,) + taps.shape[1:], dtype=complex)
+    grid[: kernel.length] = taps
+    # The taps start ``precursor`` samples before time zero.
+    realised = np.fft.fft(np.roll(grid, -kernel.precursor, axis=0), axis=0)
+    return np.linalg.norm(realised - target) / np.linalg.norm(target)
+
+
+def _draw_relay(mode, seed=17):
+    rng = np.random.default_rng(seed)
+    freqs = WIFI_20MHZ.subcarrier_freqs_hz()
+    shape = (freqs.size,) if mode != "mimo" else (freqs.size, 2, 2)
+
+    def draw():
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    relay = FastForwardRelay(RelayConfig(
+        use_decomposition=mode == "siso-decomposition"))
+    if mode == "mimo":
+        relay.configure_mimo_link(draw(), draw(), draw())
+        return relay, relay.make_mimo_chain(), relay._mimo_response_fn()
+    relay.configure_siso_link(draw(), draw(), draw())
+    return relay, relay.make_siso_chain(), relay._siso_response_fn()
+
+
+class TestKernelTolerances:
+    """The relay compiles at the signal-path bound, SI models do not."""
+
+    @pytest.mark.parametrize("mode", ["siso-interpolated",
+                                      "siso-decomposition", "mimo"])
+    def test_relay_cnf_kernel_within_signal_path_bound(self, mode):
+        _, chain, response_fn = _draw_relay(mode)
+        stage = next(s for s in chain.stages
+                     if isinstance(s, FrequencyResponseStage))
+        error = _truncation_error(stage.kernel, response_fn)
+        assert error <= SIGNAL_PATH_TAIL_REL
+        assert stage.kernel.length < design_windowed_kernel(
+            response_fn, FS).length
+
+    def test_si_models_keep_default_tolerance(self):
+        line = AnalogTapDelayLine(np.array([0.0, 100e-12, 200e-12]))
+        line.set_gains(np.array([0.5, 0.3j, -0.2]))
+        chan = SelfInterferenceChannel.typical(rng=7)
+        for model in (line, chan):
+            kernel = model.as_stage(FS).kernel
+            reference = design_windowed_kernel(model.frequency_response, FS)
+            assert np.array_equal(kernel.fir, reference.fir)
+            assert _truncation_error(
+                kernel, model.frequency_response) <= DEFAULT_TAIL_REL
 
 
 class TestKernelCache:
